@@ -107,8 +107,11 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     in_path = Path(args.input)
     sensor_path = Path(args.sensor)
     spec = parse_sensor_spec(sensor_path.read_text(encoding="utf-8"))
-    cube = read_cube(in_path.read_bytes(), allow_non_finite=args.allow_nan)
-    inputs = {str(in_path): _sha256(in_path), str(sensor_path): _sha256(sensor_path)}
+    # Hash the cube from the bytes already read, then let them go before the kernel runs.
+    raw = in_path.read_bytes()
+    inputs = {str(in_path): hashlib.sha256(raw).hexdigest(), str(sensor_path): _sha256(sensor_path)}
+    cube = read_cube(raw, allow_non_finite=args.allow_nan)
+    del raw
     threads = args.threads if args.threads is not None else _default_threads()
 
     if args.method == "naive":

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .cube_io import HyperCube
 from .errors import EmptySupportError, FormatError, GridMismatchError, ValidationError
-from .spectral import SensorSpec, SrfTable, WavelengthGrid, srf_evaluate, wavelength_digest
+from .spectral import SensorSpec, SrfTable, WavelengthGrid, _sample_srf, wavelength_digest
 
 DEFAULT_TILE = 64
 
@@ -27,8 +28,6 @@ class WeightMatrix:
     """
 
     weights: np.ndarray  # (C_in, K) float64
-    support_counts: tuple[int, ...]
-    source_grid_hash: str
     band_names: tuple[str, ...]
     band_centers: tuple[float, ...]
     source_wavelengths: tuple[float, ...]
@@ -47,6 +46,14 @@ class WeightMatrix:
         w.setflags(write=False)
 
     @property
+    def support_counts(self) -> tuple[int, ...]:
+        return tuple(int(n) for n in np.count_nonzero(self.weights, axis=0))
+
+    @property
+    def source_grid_hash(self) -> str:
+        return wavelength_digest(self.source_wavelengths)
+
+    @property
     def n_inputs(self) -> int:
         return self.weights.shape[0]
 
@@ -61,10 +68,7 @@ def build_weight_matrix(grid: WavelengthGrid, table: SrfTable, spec: SensorSpec)
     a hard error, not a silent zero column."""
     if table.n_bands != len(spec.bands):
         raise ValidationError("SRF table is not aligned to the sensor spec")
-    lam = grid.as_array()
-    raw = np.empty((len(lam), table.n_bands), dtype=np.float64)
-    for k in range(table.n_bands):
-        raw[:, k] = [srf_evaluate(table, k, float(wl)) for wl in lam]
+    raw = _sample_srf(table, range(table.n_bands), grid.values)
     sums = raw.sum(axis=0)
     empty = np.nonzero(sums == 0.0)[0]
     if empty.size:
@@ -73,16 +77,17 @@ def build_weight_matrix(grid: WavelengthGrid, table: SrfTable, spec: SensorSpec)
             f"band(s) {names} have no response at any input wavelength; "
             "the sensor/grid pairing is unusable"
         )
-    weights = raw / sums
-    support = tuple(int(np.count_nonzero(weights[:, k])) for k in range(weights.shape[1]))
     return WeightMatrix(
-        weights=weights,
-        support_counts=support,
-        source_grid_hash=grid.digest(),
+        weights=raw / sums,
         band_names=tuple(spec.band_names),
         band_centers=tuple(float(b.center) for b in spec.bands),
         source_wavelengths=tuple(grid.values),
     )
+
+
+def _pool_size(threads: int, n_tiles: int) -> int:
+    """Tile-pool workers: the requested count, capped by the tiles and the CPUs."""
+    return min(threads, n_tiles, os.cpu_count() or 1)
 
 
 def resample_cube(
@@ -112,40 +117,53 @@ def resample_cube(
     h, width = cube.height, cube.width
     out = np.empty((h, width, w.n_targets), dtype=np.float32)
     supported = w.weights > 0.0
+    # Per target band: its supported input indices in ascending order, and their weights.
+    terms = [
+        (np.flatnonzero(col).tolist(), w.weights[col, k].tolist())
+        for k, col in enumerate(supported.T)
+    ]
 
-    def project(block: np.ndarray) -> np.ndarray:
-        # Fixed-order accumulation over input bands: every pixel sums j = 0..C-1
-        # in the same order whatever the tile shape, so output bytes never
-        # depend on tiling or thread count (BLAS gemm would not guarantee that).
-        n = block.shape[0]
-        acc = np.zeros((n, w.n_targets), dtype=np.float64)
-        for j in range(w.n_inputs):
-            acc += block[:, j, None] * w.weights[j, :]
+    def project(x: np.ndarray) -> np.ndarray:
+        # Fixed-order accumulation: each pixel of band k sums x[j]*w[j, k] over
+        # the band's supported j in ascending order whatever the tile shape, so
+        # output bytes never depend on tiling or thread count (BLAS gemm would
+        # not guarantee that). The skipped terms are x*0.0, which add nothing
+        # to a sum that starts at +0.0 when x is finite.
+        acc = np.zeros((w.n_targets, x.shape[1]), dtype=np.float64)
+        term = np.empty(x.shape[1], dtype=np.float64)
+        for k, (js, ws) in enumerate(terms):
+            for j, wjk in zip(js, ws):
+                np.multiply(x[j], wjk, out=term)
+                acc[k] += term
         return acc
 
     def run_tile(r0: int, c0: int) -> None:
         r1 = min(r0 + tile, h)
         c1 = min(c0 + tile, width)
-        block = cube.data[r0:r1, c0:c1, :].astype(np.float64).reshape(-1, w.n_inputs)
-        shape = (r1 - r0, c1 - c0, w.n_targets)
+        # Band-major float64 copy of the block: row j holds input band j of every pixel.
+        x = np.ascontiguousarray(
+            cube.data[r0:r1, c0:c1, :].transpose(2, 0, 1), dtype=np.float64
+        ).reshape(w.n_inputs, -1)
+        poisoned = None
         if allow_nan:
-            nan_mask = np.isnan(block)
+            nan_mask = np.isnan(x)
             if nan_mask.any():
-                # NaN in a supported input band poisons the affected output
-                # bands only; unsupported bands must not leak NaN through 0*NaN.
-                poisoned = nan_mask @ supported
-                res = project(np.where(nan_mask, 0.0, block))
-                res[poisoned] = np.nan
-                out[r0:r1, c0:c1, :] = res.astype(np.float32).reshape(shape)
-                return
-        out[r0:r1, c0:c1, :] = project(block).astype(np.float32).reshape(shape)
+                # NaN in an input band poisons only the output bands that
+                # support it; it is zero-filled first so the sums stay finite.
+                poisoned = supported.T @ nan_mask
+                x[nan_mask] = 0.0
+        res = project(x)
+        if poisoned is not None:
+            res[poisoned] = np.nan
+        out[r0:r1, c0:c1, :] = res.reshape(w.n_targets, r1 - r0, c1 - c0).transpose(1, 2, 0)
 
     coords = [(r, c) for r in range(0, h, tile) for c in range(0, width, tile)]
-    if threads == 1 or len(coords) == 1:
+    workers = _pool_size(threads, len(coords))
+    if workers == 1:
         for r, c in coords:
             run_tile(r, c)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda rc: run_tile(*rc), coords))
 
     return HyperCube(data=out, wavelengths=w.band_centers)
@@ -200,14 +218,11 @@ def read_weights_csv(text: str) -> WeightMatrix:
         data = np.asarray([[float(c) for c in r[2:]] for r in rows[1:]], dtype=np.float64)
     except (ValueError, IndexError):
         raise FormatError("weights CSV: non-numeric or ragged row") from None
-    support = tuple(int(np.count_nonzero(data[:, k])) for k in range(data.shape[1]))
-    grid = WavelengthGrid(tuple(wl))
+    WavelengthGrid(tuple(wl))  # validates the wavelength column
     # Centers are not stored in the CSV; fall back to weighted means.
     centers = tuple(float(np.dot(data[:, k], wl)) for k in range(data.shape[1]))
     return WeightMatrix(
         weights=data,
-        support_counts=support,
-        source_grid_hash=grid.digest(),
         band_names=names,
         band_centers=centers,
         source_wavelengths=tuple(wl),

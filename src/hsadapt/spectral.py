@@ -121,6 +121,19 @@ class SrfTable:
         return len(self.sensitivities)
 
 
+def _sample_srf(table: SrfTable, bands, wavelengths) -> np.ndarray:
+    """Sensitivities of the given target bands at the given wavelengths, as a
+    len(wavelengths) × len(bands) float64 array (see srf_evaluate)."""
+    grid = np.asarray(table.grid, dtype=np.float64)
+    lam = np.asarray(wavelengths, dtype=np.float64)
+    out = np.empty((lam.size, len(bands)), dtype=np.float64)
+    for i, k in enumerate(bands):
+        col = np.asarray(table.sensitivities[k], dtype=np.float64)
+        # np.interp returns the tabulated value itself at a tabulation point.
+        out[:, i] = np.interp(lam, grid, col, left=0.0, right=0.0)
+    return out
+
+
 def srf_evaluate(table: SrfTable, band_index: int, wavelength: float) -> float:
     """Sensitivity of one target band at an arbitrary wavelength.
 
@@ -129,14 +142,7 @@ def srf_evaluate(table: SrfTable, band_index: int, wavelength: float) -> float:
     """
     if not 0 <= band_index < table.n_bands:
         raise ValidationError(f"band index {band_index} out of range [0, {table.n_bands})")
-    grid = np.asarray(table.grid, dtype=np.float64)
-    if wavelength < grid[0] or wavelength > grid[-1]:
-        return 0.0
-    col = np.asarray(table.sensitivities[band_index], dtype=np.float64)
-    exact = np.nonzero(grid == wavelength)[0]
-    if exact.size:
-        return float(col[exact[0]])
-    return float(np.interp(wavelength, grid, col))
+    return float(_sample_srf(table, (band_index,), (wavelength,))[0, 0])
 
 
 def parse_sensor_spec(text: str) -> SensorSpec:

@@ -194,6 +194,19 @@ class TestResampleCube:
         assert out.data[0, 0, 1] == np.float32(0.5)
         assert not np.any(np.isnan(out.data[0, 1]))
 
+    def test_infinity_reaches_only_supported_outputs(self):
+        grid_vals = (490.0, 500.0, 510.0, 900.0)
+        cols = [("B1", [0.5, 1.0, 0.5, 0.0]), ("B9", [0.0, 0.0, 0.0, 1.0])]
+        w = build_weight_matrix(
+            WavelengthGrid(grid_vals), table_for(cols, list(grid_vals)),
+            sensor(("B1", 500.0), ("B9", 900.0)),
+        )
+        data = np.full((1, 1, 4), 0.5, dtype=np.float32)
+        data[0, 0, 3] = np.inf  # supported by B9 only; B1 never computes inf*0
+        out = resample_cube(HyperCube(data=data, wavelengths=grid_vals), w, allow_nan=True)
+        assert out.data[0, 0, 0] == np.float32(0.5)
+        assert out.data[0, 0, 1] == np.inf
+
 
 class TestWeightSummary:
     def test_one_hot_column(self):
