@@ -24,6 +24,9 @@ from .band_select import SelectionPlan, apply_selection, nearest_band_indices
 from .cube_io import (
     CUBE_MAGIC,
     MASK_MAGIC,
+    CubeReader,
+    CubeWriter,
+    atomic_file,
     read_cube,
     read_mask,
     read_targets_csv,
@@ -56,6 +59,16 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _default_threads() -> int:
     env = os.environ.get("HSADAPT_THREADS")
     if env is None:
@@ -71,6 +84,7 @@ def _default_threads() -> int:
 
 def _write_manifest(
     output: Path,
+    output_digest: str,
     subcommand: str,
     params: dict,
     inputs: dict[str, str],
@@ -83,13 +97,12 @@ def _write_manifest(
         "subcommand": subcommand,
         "parameters": params,
         "input_digests": inputs,
-        "output_digests": {str(output): _sha256(output)},
+        "output_digests": {str(output): output_digest},
         "wall_time_s": time.monotonic() - started,
         **extra,
     }
-    Path(str(output) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_file(str(output) + ".manifest.json") as f:
+        f.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
 
 
 def _emit_report(report: dict, text_lines: list[str], out: str | None) -> None:
@@ -103,39 +116,51 @@ def _emit_report(report: dict, text_lines: list[str], out: str | None) -> None:
 
 
 def cmd_adapt(args: argparse.Namespace) -> int:
+    """One pass over the input: check its header, plan, then read, adapt,
+    write and hash one row strip at a time, so memory is bounded by a strip."""
     started = time.monotonic()
     in_path = Path(args.input)
     sensor_path = Path(args.sensor)
-    spec = parse_sensor_spec(sensor_path.read_text(encoding="utf-8"))
-    # Hash the cube from the bytes already read, then let them go before the kernel runs.
-    raw = in_path.read_bytes()
-    inputs = {str(in_path): hashlib.sha256(raw).hexdigest(), str(sensor_path): _sha256(sensor_path)}
-    cube = read_cube(raw, allow_non_finite=args.allow_nan)
-    del raw
-    threads = args.threads if args.threads is not None else _default_threads()
-
-    if args.method == "naive":
-        plan = nearest_band_indices(cube.grid, spec)
-        adapted = apply_selection(cube, plan)
-        extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
-    else:
-        srf_path = Path(args.srf)
-        table = parse_srf_table(srf_path.read_text(encoding="utf-8"), spec)
-        inputs[str(srf_path)] = _sha256(srf_path)
-        w = build_weight_matrix(cube.grid, table, spec)
-        adapted = resample_cube(
-            cube, w, tile=args.tile, threads=threads, allow_nan=args.allow_nan
-        )
-        extra = {
-            "weight_matrix": {
-                "source_grid_hash": w.source_grid_hash,
-                "digest": hashlib.sha256(w.weights.tobytes()).hexdigest(),
-                "support_counts": list(w.support_counts),
-            }
-        }
-
     out_path = Path(args.output)
-    out_path.write_bytes(write_cube(adapted))
+    spec = parse_sensor_spec(sensor_path.read_text(encoding="utf-8"))
+    threads = args.threads if args.threads is not None else _default_threads()
+    in_hash = hashlib.sha256()
+    with in_path.open("rb") as f:
+        src = CubeReader(f, allow_non_finite=args.allow_nan, hasher=in_hash)
+        grid = WavelengthGrid(src.wavelengths)
+        if args.method == "naive":
+            plan = nearest_band_indices(grid, spec)
+            out_wavelengths = tuple(src.wavelengths[j] for j in plan.indices)
+            adapt = lambda strip: apply_selection(strip, plan)
+            srf_inputs = {}
+            extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
+        else:
+            srf_path = Path(args.srf)
+            table = parse_srf_table(srf_path.read_text(encoding="utf-8"), spec)
+            srf_inputs = {str(srf_path): _sha256(srf_path)}
+            w = build_weight_matrix(grid, table, spec)
+            out_wavelengths = w.band_centers
+            adapt = lambda strip: resample_cube(
+                strip, w, tile=args.tile, threads=threads, allow_nan=args.allow_nan
+            )
+            extra = {
+                "weight_matrix": {
+                    "source_grid_hash": w.source_grid_hash,
+                    "digest": hashlib.sha256(w.weights.tobytes()).hexdigest(),
+                    "support_counts": list(w.support_counts),
+                }
+            }
+        with atomic_file(out_path) as out:
+            dst = CubeWriter(out, src.height, src.width, out_wavelengths)
+            for strip in src.strips():
+                dst.write(adapt(strip))
+            out_digest = dst.hexdigest()
+
+    inputs = {
+        str(in_path): in_hash.hexdigest(),
+        str(sensor_path): _sha256(sensor_path),
+        **srf_inputs,
+    }
     params = {
         "method": args.method,
         "sensor": str(sensor_path),
@@ -146,7 +171,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         "tile": args.tile,
         "allow_nan": args.allow_nan,
     }
-    _write_manifest(out_path, "adapt", params, inputs, extra, started)
+    _write_manifest(out_path, out_digest, "adapt", params, inputs, extra, started)
     return EXIT_OK
 
 
@@ -224,9 +249,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         cube = gen_random_cube(args.height, args.width, grid, args.seed)
     out_path = Path(args.output)
-    out_path.write_bytes(write_cube(cube))
+    stream = write_cube(cube)
+    with atomic_file(out_path) as f:
+        f.write(stream)
     params = {k: v for k, v in vars(args).items() if k not in ("func",)}
-    _write_manifest(out_path, "synth", params, {}, {}, started)
+    digest = hashlib.sha256(stream).hexdigest()
+    _write_manifest(out_path, digest, "synth", params, {}, {}, started)
     return EXIT_OK
 
 
@@ -292,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--input", required=True, help="input HSC cube")
     p_adapt.add_argument("--output", required=True, help="output HSC cube")
     p_adapt.add_argument("--srf", help="SRF table CSV (required for --method srf)")
-    p_adapt.add_argument("--threads", type=int, default=None)
-    p_adapt.add_argument("--tile", type=int, default=64)
+    p_adapt.add_argument("--threads", type=_positive_int, default=None)
+    p_adapt.add_argument("--tile", type=_positive_int, default=64)
     p_adapt.add_argument("--allow-nan", action="store_true")
     p_adapt.set_defaults(func=cmd_adapt)
 

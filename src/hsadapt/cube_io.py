@@ -3,15 +3,24 @@
 Both binary containers share the same scheme: 4 magic bytes, an 8-byte
 little-endian unsigned header length, a UTF-8 JSON header, then a raw
 little-endian payload whose size is fully determined by the header.
+
+Cubes are decoded and encoded in row strips (`CubeReader`, `CubeWriter`), so
+`hsadapt adapt` never holds a whole scene; `read_cube` is the one-strip case.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
+import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -90,89 +99,214 @@ class LabelMask:
         self.labels.setflags(write=False)
 
 
-def _read_container(stream: bytes, magic: bytes) -> tuple[dict, bytes]:
-    if len(stream) < 12:
+STRIP_BYTES = 16 * 1024 * 1024  # payload bytes per decoded row strip
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _read_header(f: BinaryIO, magic: bytes) -> tuple[dict, bytes, int]:
+    """Read and check a container's magic, header length and JSON header.
+
+    Returns the header object, the bytes consumed, and the payload length
+    left in the stream, measured without reading it.
+    """
+    if not f.seekable():
+        raise FormatError("input must be a seekable file, not a pipe")
+    start = f.tell()
+    size = f.seek(0, os.SEEK_END) - start
+    f.seek(start)
+    prefix = f.read(12)
+    if len(prefix) < 12:
         raise FormatError("stream too short for magic and header length")
-    got = stream[:4]
+    got = prefix[:4]
     if got != magic:
         if got[:3] == magic[:3] and got[3:4].isdigit():
             raise FormatError(f"unsupported version {got.decode('ascii', 'replace')!r}")
         raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-    (hlen,) = struct.unpack("<Q", stream[4:12])
-    if 12 + hlen > len(stream):
+    (hlen,) = struct.unpack("<Q", prefix[4:12])
+    if 12 + hlen > size:
         raise FormatError(f"declared header length {hlen} exceeds stream size")
+    raw = f.read(hlen)
     try:
-        header = json.loads(stream[12 : 12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        header = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"invalid header JSON: {e}") from None
-    return header, stream[12 + hlen :]
+    if not isinstance(header, dict):
+        raise FormatError("header must be a JSON object")
+    return header, prefix + raw, size - 12 - hlen
 
 
-def _pack_container(magic: bytes, header: dict, payload: bytes) -> bytes:
-    hdr = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return magic + struct.pack("<Q", len(hdr)) + hdr + payload
-
-
-def _require_dim(header: dict, key: str) -> int:
-    v = header.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-        raise FormatError(f"header field {key!r} must be a positive integer")
-    return v
-
-
-def read_cube(stream: bytes, allow_non_finite: bool = False) -> HyperCube:
-    header, payload = _read_container(stream, CUBE_MAGIC)
-    h = _require_dim(header, "h")
-    w = _require_dim(header, "w")
-    c = _require_dim(header, "c")
-    if header.get("dtype") != "f32le":
+def _header_dims(header: dict, dims: tuple[str, ...], dtype: str) -> tuple[int, ...]:
+    """The schema both containers share: positive integer dimensions and the payload dtype."""
+    for key in dims:
+        v = header.get(key)
+        if not _is_int(v) or v <= 0:
+            raise FormatError(f"header field {key!r} must be a positive integer")
+    if header.get("dtype") != dtype:
         raise FormatError(f"unsupported dtype {header.get('dtype')!r}")
-    if header.get("layout") != "bip":
-        raise FormatError(f"unsupported layout {header.get('layout')!r}")
-    wavelengths = header.get("wavelengths_nm")
-    if not isinstance(wavelengths, list) or len(wavelengths) != c:
-        raise FormatError("wavelengths_nm must list exactly c values")
-    wl = np.asarray(wavelengths, dtype=np.float64)
-    if not np.all(np.isfinite(wl)) or np.any(wl <= 0):
-        raise FormatError("wavelengths_nm must be finite and positive")
-    # Ties are legal (repeated nearest-band selections); decreasing is not.
-    if np.any(np.diff(wl) < 0):
-        raise FormatError("wavelengths_nm must be monotone non-decreasing")
-    expected = h * w * c * 4
-    if len(payload) != expected:
-        raise FormatError(f"payload length mismatch: expected {expected} bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(h, w, c).astype(np.float32, copy=True)
-    if not allow_non_finite and not np.all(np.isfinite(data)):
-        raise ValidationError("cube contains non-finite values (pass allow_non_finite to accept)")
-    return HyperCube(data=data, wavelengths=tuple(float(x) for x in wavelengths))
+    return tuple(header[key] for key in dims)
 
 
-def write_cube(cube: HyperCube) -> bytes:
+def _check_payload(got: int, expected: int) -> None:
+    if got != expected:
+        raise FormatError(f"payload length mismatch: expected {expected} bytes, got {got}")
+
+
+def _container_prefix(magic: bytes, header: dict) -> bytes:
+    hdr = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return magic + struct.pack("<Q", len(hdr)) + hdr
+
+
+def _cube_prefix(h: int, w: int, wavelengths: tuple[float, ...]) -> bytes:
     header = {
-        "h": cube.height,
-        "w": cube.width,
-        "c": cube.bands,
-        "wavelengths_nm": list(cube.wavelengths),
+        "h": h,
+        "w": w,
+        "c": len(wavelengths),
+        "wavelengths_nm": list(wavelengths),
         "dtype": "f32le",
         "layout": "bip",
     }
+    return _container_prefix(CUBE_MAGIC, header)
+
+
+def _bytes_of(a: np.ndarray) -> memoryview:
+    return memoryview(a).cast("B")
+
+
+class CubeReader:
+    """Decoder for an HSC-v1 stream.
+
+    The constructor reads and checks the header and checks the payload length
+    against the stream size, so a bad file fails before any data is read.
+    `strips()` then decodes the payload in row strips; every byte read is fed
+    to `hasher`, so after the last strip it holds the digest of the whole
+    stream.
+    """
+
+    def __init__(self, f: BinaryIO, allow_non_finite: bool = False, hasher=None):
+        self._f = f
+        self._allow_non_finite = allow_non_finite
+        self._hasher = hasher
+        header, head, payload_len = _read_header(f, CUBE_MAGIC)
+        h, w, c = _header_dims(header, ("h", "w", "c"), "f32le")
+        if header.get("layout") != "bip":
+            raise FormatError(f"unsupported layout {header.get('layout')!r}")
+        wavelengths = header.get("wavelengths_nm")
+        if not isinstance(wavelengths, list) or len(wavelengths) != c:
+            raise FormatError("wavelengths_nm must list exactly c values")
+        if not all(_is_number(v) for v in wavelengths):
+            raise FormatError("wavelengths_nm must hold numbers")
+        try:
+            wl = np.asarray(wavelengths, dtype=np.float64)
+        except OverflowError:
+            raise FormatError("wavelengths_nm must be finite and positive") from None
+        if not np.all(np.isfinite(wl)) or np.any(wl <= 0):
+            raise FormatError("wavelengths_nm must be finite and positive")
+        # Ties are legal (repeated nearest-band selections); decreasing is not.
+        if np.any(np.diff(wl) < 0):
+            raise FormatError("wavelengths_nm must be monotone non-decreasing")
+        _check_payload(payload_len, h * w * c * 4)
+        if hasher is not None:
+            hasher.update(head)
+        self.height, self.width, self.bands = h, w, c
+        self.wavelengths = tuple(float(x) for x in wavelengths)
+
+    def strips(self, rows: int | None = None) -> Iterator[HyperCube]:
+        """Yield the cube as consecutive strips of `rows` rows (the last may be
+        shorter); by default as many rows as fit in STRIP_BYTES, at least one."""
+        if rows is None:
+            rows = max(1, STRIP_BYTES // (self.width * self.bands * 4))
+        for r0 in range(0, self.height, rows):
+            data = np.empty((min(rows, self.height - r0), self.width, self.bands), dtype="<f4")
+            buf = _bytes_of(data)
+            got = self._f.readinto(buf)
+            if got != len(buf):
+                raise FormatError(f"payload ended early: expected {len(buf)} bytes, got {got}")
+            if self._hasher is not None:
+                self._hasher.update(buf)
+            if not self._allow_non_finite and not np.all(np.isfinite(data)):
+                raise ValidationError(
+                    "cube contains non-finite values (pass allow_non_finite to accept)"
+                )
+            yield HyperCube(data=data, wavelengths=self.wavelengths)
+
+
+def read_cube(stream: bytes, allow_non_finite: bool = False) -> HyperCube:
+    """Decode a whole in-memory HSC-v1 stream as one strip."""
+    src = CubeReader(io.BytesIO(stream), allow_non_finite)
+    (cube,) = src.strips(rows=src.height)
+    return cube
+
+
+class CubeWriter:
+    """Encoder for an HSC-v1 stream whose header is known up front.
+
+    The header goes out at construction; `write` appends row strips, and every
+    byte written is also hashed. `hexdigest()` checks that all rows arrived
+    and returns the SHA-256 of the whole stream.
+    """
+
+    def __init__(self, f: BinaryIO, height: int, width: int, wavelengths: tuple[float, ...]):
+        self._f = f
+        self._hasher = hashlib.sha256()
+        self.height, self.width = height, width
+        self.wavelengths = tuple(wavelengths)
+        self.rows = 0
+        self._put(_cube_prefix(height, width, self.wavelengths))
+
+    def _put(self, buf) -> None:
+        self._f.write(buf)
+        self._hasher.update(buf)
+
+    def write(self, strip: HyperCube) -> None:
+        if strip.width != self.width or strip.wavelengths != self.wavelengths:
+            raise ValidationError("strip does not match the cube header being written")
+        self._put(_bytes_of(np.ascontiguousarray(strip.data, dtype="<f4")))
+        self.rows += strip.height
+
+    def hexdigest(self) -> str:
+        if self.rows != self.height:
+            raise ValidationError(f"wrote {self.rows} rows, header declares {self.height}")
+        return self._hasher.hexdigest()
+
+
+def write_cube(cube: HyperCube) -> bytes:
     payload = np.ascontiguousarray(cube.data, dtype="<f4").tobytes()
-    return _pack_container(CUBE_MAGIC, header, payload)
+    return _cube_prefix(cube.height, cube.width, cube.wavelengths) + payload
+
+
+@contextlib.contextmanager
+def atomic_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """Open a new file beside `path` that replaces it only when the block exits
+    cleanly. On any exception the partial file is removed and `path` is left
+    as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_mask(stream: bytes) -> LabelMask:
-    header, payload = _read_container(stream, MASK_MAGIC)
-    h = _require_dim(header, "h")
-    w = _require_dim(header, "w")
-    if header.get("dtype") != "i16le":
-        raise FormatError(f"unsupported dtype {header.get('dtype')!r}")
+    f = io.BytesIO(stream)
+    header, _, payload_len = _read_header(f, MASK_MAGIC)
+    h, w = _header_dims(header, ("h", "w"), "i16le")
     ignore = header.get("ignore_value", -1)
-    if not isinstance(ignore, int) or isinstance(ignore, bool):
+    if not _is_int(ignore):
         raise FormatError("ignore_value must be an integer")
-    expected = h * w * 2
-    if len(payload) != expected:
-        raise FormatError(f"payload length mismatch: expected {expected} bytes, got {len(payload)}")
-    labels = np.frombuffer(payload, dtype="<i2").reshape(h, w).astype(np.int16, copy=True)
+    _check_payload(payload_len, h * w * 2)
+    labels = np.empty((h, w), dtype="<i2")
+    f.readinto(_bytes_of(labels))
     return LabelMask(labels=labels, ignore_value=ignore)
 
 
@@ -184,7 +318,7 @@ def write_mask(mask: LabelMask) -> bytes:
         "ignore_value": mask.ignore_value,
     }
     payload = np.ascontiguousarray(mask.labels, dtype="<i2").tobytes()
-    return _pack_container(MASK_MAGIC, header, payload)
+    return _container_prefix(MASK_MAGIC, header) + payload
 
 
 def read_targets_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:

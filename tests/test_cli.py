@@ -60,6 +60,19 @@ class TestAdapt:
                    "--input", str(tmp_path / "nope.hsc"), "--output", str(tmp_path / "o.hsc")])
         assert rc == 1
 
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    @pytest.mark.parametrize("flag", ["--tile", "--threads"])
+    @pytest.mark.parametrize("method", ["naive", "srf"])
+    def test_non_positive_tile_or_threads_is_usage_error(
+        self, tmp_path, cube_file, capsys, method, flag, value
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(["adapt", "--method", method, "--srf", SRF, "--sensor", SENSOR, flag, value,
+                  "--input", str(cube_file), "--output", str(tmp_path / "o.hsc")])
+        assert e.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o.hsc").exists()
+
     def test_flat_cube_methods_agree_byte_identical(self, tmp_path):
         from hsadapt.synth import gen_flat_cube
         cube = gen_flat_cube(8, 8, GRID_202, 0.7)

@@ -1,9 +1,11 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hsadapt.cli import main
 from hsadapt.cube_io import (
     HyperCube,
     LabelMask,
@@ -14,6 +16,8 @@ from hsadapt.cube_io import (
     write_mask,
 )
 from hsadapt.errors import FormatError, ValidationError
+
+SENSOR = str(Path(__file__).resolve().parents[1] / "configs" / "sentinel2_l2a_12band.json")
 
 
 def random_cube(rng, h, w, c):
@@ -98,6 +102,53 @@ class TestCubeFormat:
             cube = random_cube(rng, h, w, c)
             stream = write_cube(cube)
             assert write_cube(read_cube(stream)) == stream
+
+
+def repack(stream: bytes, hdr: bytes) -> bytes:
+    """The container `stream` with its header bytes replaced by `hdr`."""
+    (hlen,) = struct.unpack("<Q", stream[4:12])
+    return stream[:4] + struct.pack("<Q", len(hdr)) + hdr + stream[12 + hlen :]
+
+
+def with_header(stream: bytes, mutate) -> bytes:
+    (hlen,) = struct.unpack("<Q", stream[4:12])
+    return repack(stream, json.dumps(mutate(json.loads(stream[12 : 12 + hlen]))).encode())
+
+
+CUBE_STREAM = write_cube(HyperCube(data=np.zeros((2, 2, 1), dtype=np.float32), wavelengths=(500.0,)))
+MASK_STREAM = write_mask(LabelMask(labels=np.zeros((2, 2), dtype=np.int16)))
+MALFORMED_HEADERS = {
+    "cube-list-header": with_header(CUBE_STREAM, lambda h: [h]),
+    "cube-string-wavelength": with_header(CUBE_STREAM, lambda h: {**h, "wavelengths_nm": ["a"]}),
+    "cube-boolean-wavelength": with_header(CUBE_STREAM, lambda h: {**h, "wavelengths_nm": [True]}),
+    "cube-huge-wavelength": with_header(CUBE_STREAM, lambda h: {**h, "wavelengths_nm": [10**400]}),
+    "cube-boolean-dim": with_header(CUBE_STREAM, lambda h: {**h, "c": True}),
+    "cube-deeply-nested-header": repack(CUBE_STREAM, b"[" * 100_000),
+    "mask-list-header": with_header(MASK_STREAM, lambda h: [h]),
+    "mask-boolean-ignore": with_header(MASK_STREAM, lambda h: {**h, "ignore_value": True}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_HEADERS))
+def test_malformed_header_is_format_error(tmp_path, name):
+    """Every malformed header is a FormatError, and the CLI exits 1 on it."""
+    stream = MALFORMED_HEADERS[name]
+    if name.startswith("mask"):
+        with pytest.raises(FormatError):
+            read_mask(stream)
+        for d in ("pred", "truth"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "chip.hsm").write_bytes(stream)
+        argv = ["metrics", "seg", "--pred-dir", str(tmp_path / "pred"),
+                "--truth-dir", str(tmp_path / "truth"), "--classes", "2"]
+    else:
+        with pytest.raises(FormatError):
+            read_cube(stream)
+        (tmp_path / "in.hsc").write_bytes(stream)
+        argv = ["adapt", "--method", "naive", "--sensor", SENSOR,
+                "--input", str(tmp_path / "in.hsc"), "--output", str(tmp_path / "out.hsc")]
+    assert main(argv) == 1
+    assert not (tmp_path / "out.hsc").exists()
 
 
 class TestMaskFormat:

@@ -1,0 +1,139 @@
+"""`hsadapt adapt` streams its input through row strips: the output and both
+manifest digests must equal the whole-cube path's, a failure part-way must
+leave an existing output untouched, and memory must stay near one strip."""
+
+import hashlib
+import io
+import json
+import os
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hsadapt import cube_io
+from hsadapt.band_select import apply_selection, nearest_band_indices
+from hsadapt.cli import main
+from hsadapt.cube_io import CubeReader, HyperCube, read_cube, write_cube
+from hsadapt.resample import build_weight_matrix, resample_cube
+from hsadapt.spectral import WavelengthGrid, parse_sensor_spec, parse_srf_table
+from hsadapt.synth import gen_random_cube
+
+REPO = Path(__file__).resolve().parents[1]
+SENSOR = REPO / "configs" / "sentinel2_l2a_12band.json"
+SRF = REPO / "configs" / "sentinel2_l2a_gaussian_srf.csv"
+GRID = WavelengthGrid(tuple(420.0 + 10.0 * i for i in range(202)))
+H, W = 23, 9
+STRIP_ROWS = 5  # 23 rows: four full strips and a remainder of three
+
+
+@pytest.fixture
+def small_strips(monkeypatch):
+    row_bytes = W * len(GRID) * 4
+    monkeypatch.setattr(cube_io, "STRIP_BYTES", STRIP_ROWS * row_bytes + row_bytes // 2)
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def adapt_argv(method, src, out, *flags):
+    argv = ["adapt", "--method", method, "--sensor", str(SENSOR),
+            "--input", str(src), "--output", str(out), *flags]
+    return argv + (["--srf", str(SRF)] if method == "srf" else [])
+
+
+def whole_cube_output(raw: bytes, method: str, tile: int, threads: int, allow_nan: bool) -> bytes:
+    cube = read_cube(raw, allow_non_finite=allow_nan)
+    spec = parse_sensor_spec(SENSOR.read_text(encoding="utf-8"))
+    if method == "naive":
+        return write_cube(apply_selection(cube, nearest_band_indices(cube.grid, spec)))
+    w = build_weight_matrix(cube.grid, parse_srf_table(SRF.read_text(encoding="utf-8"), spec), spec)
+    return write_cube(resample_cube(cube, w, tile=tile, threads=threads, allow_nan=allow_nan))
+
+
+def test_small_strip_setting_splits_the_cube(small_strips):
+    raw = write_cube(gen_random_cube(H, W, GRID, seed=1))
+    heights = [s.height for s in CubeReader(io.BytesIO(raw)).strips()]
+    assert heights == [5, 5, 5, 5, 3]
+
+
+def test_default_strip_keeps_a_full_chip_whole():
+    chip = HyperCube(data=np.zeros((128, 128, 202), dtype=np.float32), wavelengths=GRID.values)
+    assert [s.height for s in CubeReader(io.BytesIO(write_cube(chip))).strips()] == [128]
+
+
+@pytest.mark.parametrize("nan_rows", [None, slice(4, 7)])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("tile", [1, 5, 64])
+@pytest.mark.parametrize("method", ["naive", "srf"])
+def test_streamed_output_equals_whole_cube_path(
+    tmp_path, small_strips, method, tile, threads, nan_rows
+):
+    data = gen_random_cube(H, W, GRID, seed=tile * 10 + threads).data.copy()
+    if nan_rows is not None:
+        data[nan_rows, 2:4, 30:60] = np.nan  # spans the first strip boundary
+    raw = write_cube(HyperCube(data=data, wavelengths=GRID.values))
+    src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
+    src.write_bytes(raw)
+    flags = ["--tile", str(tile), "--threads", str(threads)]
+    if nan_rows is not None:
+        flags.append("--allow-nan")
+    assert main(adapt_argv(method, src, out, *flags)) == 0
+    assert out.read_bytes() == whole_cube_output(raw, method, tile, threads, nan_rows is not None)
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))
+    assert manifest["input_digests"][str(src)] == sha256(src)
+    assert manifest["output_digests"] == {str(out): sha256(out)}
+    keys = [str(src), str(SENSOR)] + ([str(SRF)] if method == "srf" else [])
+    assert list(manifest["input_digests"]) == keys
+
+
+def last_strip_nan(raw: bytes) -> bytes:
+    cube = read_cube(raw)
+    data = cube.data.copy()
+    data[-1, -1, -1] = np.nan
+    return write_cube(HyperCube(data=data, wavelengths=cube.wavelengths))
+
+
+@pytest.mark.parametrize("corrupt", [last_strip_nan, lambda raw: raw[:-3]],
+                         ids=["nan-in-last-strip", "truncated-payload"])
+@pytest.mark.parametrize("method", ["naive", "srf"])
+def test_failed_run_leaves_existing_output_untouched(tmp_path, small_strips, method, corrupt):
+    src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
+    manifest = Path(str(out) + ".manifest.json")
+    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=3)))
+    assert main(adapt_argv(method, src, out)) == 0
+    before = {p.name: p.read_bytes() for p in (out, manifest)}
+    src.write_bytes(corrupt(src.read_bytes()))
+    assert main(adapt_argv(method, src, out)) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == before
+
+
+@pytest.mark.parametrize("method", ["naive", "srf"])
+def test_peak_memory_is_bounded_by_a_strip(tmp_path, monkeypatch, method):
+    monkeypatch.setattr(cube_io, "STRIP_BYTES", 1 << 20)
+    src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
+    src.write_bytes(write_cube(gen_random_cube(96, 96, GRID, seed=4)))
+    size = src.stat().st_size  # about 7.4 MB
+    tracemalloc.start()
+    try:
+        assert main(adapt_argv(method, src, out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2, f"peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB input"
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_pipe_input_is_data_error(tmp_path, capsys):
+    raw = write_cube(gen_random_cube(2, 2, GRID, seed=5))
+    r, w = os.pipe()
+    try:
+        os.write(w, raw)  # fits in the pipe buffer, so nothing blocks
+        os.close(w)
+        assert main(adapt_argv("naive", f"/dev/fd/{r}", tmp_path / "out.hsc")) == 1
+    finally:
+        os.close(r)
+    assert "seekable" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
