@@ -3,7 +3,6 @@ closest center wavelength and gather those channels unmodified."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,25 +23,6 @@ class SelectionPlan:
     indices: tuple[int, ...]
     distances: tuple[float, ...]
     source_grid_hash: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "indices": list(self.indices),
-                "distances_nm": list(self.distances),
-                "source_grid_hash": self.source_grid_hash,
-            },
-            indent=2,
-        ) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SelectionPlan":
-        doc = json.loads(text)
-        return cls(
-            indices=tuple(int(i) for i in doc["indices"]),
-            distances=tuple(float(d) for d in doc["distances_nm"]),
-            source_grid_hash=str(doc["source_grid_hash"]),
-        )
 
     def summary(self) -> dict:
         counts: dict[int, int] = {}

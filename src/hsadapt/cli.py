@@ -2,7 +2,7 @@
 
 Subcommands: adapt (project a cube into a sensor's band space), metrics
 (score segmentation or regression outputs), synth (write synthetic fixtures),
-inspect (summarize cubes, masks, plans, weight matrices).
+inspect (summarize an HSC-v1 cube or an HSM-v1 mask).
 
 Exit codes: 0 success, 1 data/validation error, 2 usage error.
 """
@@ -16,32 +16,26 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from . import __version__
-from .band_select import SelectionPlan, apply_selection, nearest_band_indices
+from .band_select import apply_selection, nearest_band_indices
 from .cube_io import (
     CUBE_MAGIC,
     MASK_MAGIC,
     CubeReader,
     CubeWriter,
     atomic_file,
-    read_cube,
     read_mask,
     read_targets_csv,
     write_cube,
     write_mask,
 )
-from .errors import HsadaptError, ValidationError
+from .errors import FormatError, HsadaptError, ValidationError
 from .metrics import ConfusionMatrix, accumulate_confusion, baseline_mse, miou, nmse
-from .resample import (
-    build_weight_matrix,
-    read_weights_csv,
-    resample_cube,
-    weight_summary,
-    write_weights_csv,
-)
+from .resample import build_weight_matrix, resample_cube
 from .spectral import WavelengthGrid, parse_sensor_spec, parse_srf_table
 from .synth import (
     AbsorptionFeatureSpec,
@@ -55,8 +49,14 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_text(path: Path) -> tuple[str, str]:
+    """A text input's SHA-256 and its UTF-8 text, both from one read."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e})") from None
+    return hashlib.sha256(raw).hexdigest(), text
 
 
 def _positive_int(text: str) -> int:
@@ -122,7 +122,8 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     in_path = Path(args.input)
     sensor_path = Path(args.sensor)
     out_path = Path(args.output)
-    spec = parse_sensor_spec(sensor_path.read_text(encoding="utf-8"))
+    sensor_digest, sensor_text = _read_text(sensor_path)
+    spec = parse_sensor_spec(sensor_text)
     threads = args.threads if args.threads is not None else _default_threads()
     in_hash = hashlib.sha256()
     with in_path.open("rb") as f:
@@ -136,8 +137,9 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
         else:
             srf_path = Path(args.srf)
-            table = parse_srf_table(srf_path.read_text(encoding="utf-8"), spec)
-            srf_inputs = {str(srf_path): _sha256(srf_path)}
+            srf_digest, srf_text = _read_text(srf_path)
+            table = parse_srf_table(srf_text, spec)
+            srf_inputs = {str(srf_path): srf_digest}
             w = build_weight_matrix(grid, table, spec)
             out_wavelengths = w.band_centers
             adapt = lambda strip: resample_cube(
@@ -158,7 +160,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
 
     inputs = {
         str(in_path): in_hash.hexdigest(),
-        str(sensor_path): _sha256(sensor_path),
+        str(sensor_path): sensor_digest,
         **srf_inputs,
     }
     params = {
@@ -209,9 +211,9 @@ def cmd_metrics_seg(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics_reg(args: argparse.Namespace) -> int:
-    pred_ids, pred_names, pred = read_targets_csv(Path(args.pred).read_text(encoding="utf-8"))
-    truth_ids, truth_names, truth = read_targets_csv(Path(args.truth).read_text(encoding="utf-8"))
-    _, train_names, train = read_targets_csv(Path(args.train).read_text(encoding="utf-8"))
+    pred_ids, pred_names, pred = read_targets_csv(_read_text(Path(args.pred))[1])
+    truth_ids, truth_names, truth = read_targets_csv(_read_text(Path(args.truth))[1])
+    _, train_names, train = read_targets_csv(_read_text(Path(args.train))[1])
     if pred_names != truth_names or pred_names != train_names:
         raise ValidationError(
             f"parameter columns differ: pred {pred_names}, truth {truth_names}, train {train_names}"
@@ -258,50 +260,61 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cube_report(f: BinaryIO) -> dict:
+    """Per-band min, max and mean of an HSC-v1 stream, folded over its row
+    strips so memory stays bounded by one strip. NaNs are skipped; a band with
+    no other value reports NaN."""
+    src = CubeReader(f, allow_non_finite=True)
+    lo = np.full(src.bands, np.nan, dtype=np.float32)
+    hi = lo.copy()
+    total = np.zeros(src.bands, dtype=np.float64)
+    count = np.zeros(src.bands, dtype=np.int64)
+    for strip in src.strips():
+        x = strip.data.reshape(-1, src.bands)
+        np.fmin(lo, np.fmin.reduce(x, axis=0), out=lo)
+        np.fmax(hi, np.fmax.reduce(x, axis=0), out=hi)
+        seen = ~np.isnan(x)
+        total += np.add.reduce(x, axis=0, dtype=np.float64, where=seen)
+        count += np.count_nonzero(seen, axis=0)
+    return {
+        "kind": "cube",
+        "h": src.height,
+        "w": src.width,
+        "c": src.bands,
+        "wavelength_span_nm": [min(src.wavelengths), max(src.wavelengths)],
+        "per_band": [
+            {
+                "wavelength_nm": src.wavelengths[j],
+                "min": float(lo[j]),
+                "max": float(hi[j]),
+                "mean": float(np.float32(total[j] / count[j])) if count[j] else float("nan"),
+            }
+            for j in range(src.bands)
+        ],
+    }
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     path = Path(args.path)
-    raw = path.read_bytes()
-    if raw[:4] == CUBE_MAGIC:
-        cube = read_cube(raw, allow_non_finite=True)
-        data = cube.data
-        report = {
-            "kind": "cube",
-            "h": cube.height,
-            "w": cube.width,
-            "c": cube.bands,
-            "wavelength_span_nm": [min(cube.wavelengths), max(cube.wavelengths)],
-            "per_band": [
-                {
-                    "wavelength_nm": cube.wavelengths[j],
-                    "min": float(np.nanmin(data[:, :, j])),
-                    "max": float(np.nanmax(data[:, :, j])),
-                    "mean": float(np.nanmean(data[:, :, j])),
-                }
-                for j in range(cube.bands)
-            ],
-        }
-    elif raw[:4] == MASK_MAGIC:
-        mask = read_mask(raw)
-        total = mask.labels.size
-        ignored = int(np.count_nonzero(mask.labels == mask.ignore_value))
-        values, counts = np.unique(mask.labels, return_counts=True)
-        report = {
-            "kind": "mask",
-            "h": int(mask.labels.shape[0]),
-            "w": int(mask.labels.shape[1]),
-            "ignore_value": mask.ignore_value,
-            "ignored_fraction": ignored / total,
-            "label_counts": {int(v): int(c) for v, c in zip(values, counts)},
-        }
-    else:
-        text = raw.decode("utf-8", errors="replace")
-        if path.suffix == ".json" or text.lstrip().startswith("{"):
-            plan = SelectionPlan.from_json(text)
-            report = {"kind": "selection_plan", **plan.summary(),
-                      "source_grid_hash": plan.source_grid_hash}
+    with path.open("rb") as f:
+        magic = f.read(4)
+        f.seek(0)
+        if magic == CUBE_MAGIC:
+            report = _cube_report(f)
+        elif magic == MASK_MAGIC:
+            mask = read_mask(f.read())
+            ignored = int(np.count_nonzero(mask.labels == mask.ignore_value))
+            values, counts = np.unique(mask.labels, return_counts=True)
+            report = {
+                "kind": "mask",
+                "h": int(mask.labels.shape[0]),
+                "w": int(mask.labels.shape[1]),
+                "ignore_value": mask.ignore_value,
+                "ignored_fraction": ignored / mask.labels.size,
+                "label_counts": {int(v): int(c) for v, c in zip(values, counts)},
+            }
         else:
-            w = read_weights_csv(text)
-            report = {"kind": "weight_matrix", **weight_summary(w)}
+            raise FormatError(f"{path}: not an HSC-v1 cube or HSM-v1 mask")
     _emit_report(report, [], args.out)
     return EXIT_OK
 
@@ -358,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--output", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_inspect = sub.add_parser("inspect", help="summarize a cube, mask, plan, or weights file")
+    p_inspect = sub.add_parser("inspect", help="summarize a cube or mask file")
     p_inspect.add_argument("path")
     p_inspect.add_argument("--out")
     p_inspect.set_defaults(func=cmd_inspect)
@@ -373,14 +386,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--srf is required when --method srf")
     try:
         return args.func(args)
-    except HsadaptError as e:
+    except (HsadaptError, OSError) as e:
         print(f"hsadapt: error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as e:
-        print(f"hsadapt: error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as e:
-        print(f"hsadapt: error: unreadable file ({e})", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -135,7 +135,7 @@ def _read_header(f: BinaryIO, magic: bytes) -> tuple[dict, bytes, int]:
     raw = f.read(hlen)
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or syntax, huge integer, deep nesting
         raise FormatError(f"invalid header JSON: {e}") from None
     if not isinstance(header, dict):
         raise FormatError("header must be a JSON object")
@@ -327,8 +327,10 @@ def read_targets_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
     Returns (sample_ids, parameter_names, N×P float array). Rows keep file
     order; duplicate sample ids, ragged rows, and non-finite cells are errors.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as e:
+        raise FormatError(f"unreadable targets CSV: {e}") from None
     if not rows:
         raise FormatError("empty targets CSV")
     header = [h.strip() for h in rows[0]]

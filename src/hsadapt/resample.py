@@ -4,8 +4,6 @@ tiled over pixel blocks for throughput."""
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -13,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube_io import HyperCube
-from .errors import EmptySupportError, FormatError, GridMismatchError, ValidationError
+from .errors import EmptySupportError, GridMismatchError, ValidationError
 from .spectral import SensorSpec, SrfTable, WavelengthGrid, _sample_srf, wavelength_digest
 
 DEFAULT_TILE = 64
@@ -189,41 +187,3 @@ def weight_summary(w: WeightMatrix) -> dict:
             }
         )
     return {"n_inputs": w.n_inputs, "n_targets": w.n_targets, "bands": bands}
-
-
-def write_weights_csv(w: WeightMatrix) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["band_index", "wavelength_nm", *w.band_names])
-    for j in range(w.n_inputs):
-        writer.writerow(
-            [j, repr(w.source_wavelengths[j]), *(repr(float(x)) for x in w.weights[j])]
-        )
-    return out.getvalue()
-
-
-def read_weights_csv(text: str) -> WeightMatrix:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = [r for r in reader if r]
-    except csv.Error as e:
-        raise FormatError(f"unreadable weights CSV: {e}") from None
-    if not rows or rows[0][:2] != ["band_index", "wavelength_nm"]:
-        raise FormatError('weights CSV must start with "band_index,wavelength_nm,..." header')
-    names = tuple(rows[0][2:])
-    if not names:
-        raise FormatError("weights CSV has no target band columns")
-    try:
-        wl = [float(r[1]) for r in rows[1:]]
-        data = np.asarray([[float(c) for c in r[2:]] for r in rows[1:]], dtype=np.float64)
-    except (ValueError, IndexError):
-        raise FormatError("weights CSV: non-numeric or ragged row") from None
-    WavelengthGrid(tuple(wl))  # validates the wavelength column
-    # Centers are not stored in the CSV; fall back to weighted means.
-    centers = tuple(float(np.dot(data[:, k], wl)) for k in range(data.shape[1]))
-    return WeightMatrix(
-        weights=data,
-        band_names=names,
-        band_centers=centers,
-        source_wavelengths=tuple(wl),
-    )

@@ -149,7 +149,7 @@ def parse_sensor_spec(text: str) -> SensorSpec:
     """Parse the JSON sensor-spec document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad syntax, huge integer, deep nesting
         raise FormatError(f"sensor spec is not valid JSON: {e}") from None
     if not isinstance(doc, dict) or "sensor" not in doc or "bands" not in doc:
         raise FormatError('sensor spec must be an object with "sensor" and "bands" keys')
@@ -162,22 +162,20 @@ def parse_sensor_spec(text: str) -> SensorSpec:
         center = entry["center_nm"]
         if not isinstance(center, (int, float)) or isinstance(center, bool):
             raise FormatError(f'band {entry.get("name")!r}: center_nm must be a number')
-        bands.append(TargetBand(name=str(entry["name"]), center=float(center)))
+        try:
+            center = float(center)
+        except OverflowError:
+            raise FormatError(f'band {entry.get("name")!r}: center_nm is out of range') from None
+        bands.append(TargetBand(name=str(entry["name"]), center=center))
     return SensorSpec(sensor_name=str(doc["sensor"]), bands=tuple(bands))
-
-
-def serialize_sensor_spec(spec: SensorSpec) -> str:
-    doc = {
-        "sensor": spec.sensor_name,
-        "bands": [{"name": b.name, "center_nm": b.center} for b in spec.bands],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_srf_table(text: str, spec: SensorSpec) -> SrfTable:
     """Parse the SRF CSV and align its columns to the spec's band order."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as e:
+        raise FormatError(f"unreadable SRF table: {e}") from None
     if not rows:
         raise FormatError("empty SRF table")
     header = [h.strip() for h in rows[0]]
@@ -199,24 +197,8 @@ def parse_srf_table(text: str, spec: SensorSpec) -> SrfTable:
         except ValueError:
             raise FormatError(f"SRF table line {lineno}: non-numeric cell") from None
     data = np.asarray(parsed, dtype=np.float64)
-    grid = data[:, 0]
-    if np.any(np.diff(grid) <= 0):
-        raise ValidationError("SRF wavelength column must be strictly increasing")
     col_index = {name: i + 1 for i, name in enumerate(columns)}
-    sens = tuple(
-        tuple(float(x) for x in data[:, col_index[name]]) for name in spec.band_names
-    )
+    sens = tuple(tuple(data[:, col_index[name]].tolist()) for name in spec.band_names)
     return SrfTable(
-        grid=tuple(float(x) for x in grid), sensitivities=sens, band_names=tuple(spec.band_names)
+        grid=tuple(data[:, 0].tolist()), sensitivities=sens, band_names=tuple(spec.band_names)
     )
-
-
-def serialize_srf_table(table: SrfTable) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["wavelength_nm", *table.band_names])
-    for i, wl in enumerate(table.grid):
-        w.writerow(
-            [repr(float(wl)), *(repr(float(table.sensitivities[k][i])) for k in range(table.n_bands))]
-        )
-    return out.getvalue()

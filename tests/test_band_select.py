@@ -133,8 +133,3 @@ class TestApplySelection:
         cube_a = cube_from(data, grid)
         cube_b = cube_from(data_p, grid)
         assert np.array_equal(cube_a.data, cube_b.data)
-
-    def test_plan_json_round_trip(self):
-        plan = SelectionPlan(indices=(1, 0), distances=(5.0, 2.5), source_grid_hash="ab12")
-        again = SelectionPlan.from_json(plan.to_json())
-        assert again == plan

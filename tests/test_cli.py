@@ -203,32 +203,13 @@ class TestSynthInspect:
         bad.write_bytes(b"\x00\x01\x02garbage")
         assert main(["inspect", str(bad)]) == 1
 
-    def test_inspect_weight_matrix_columns_sum_to_one(self, tmp_path, cube_file, capsys):
-        from hsadapt.resample import build_weight_matrix, write_weights_csv
-        from hsadapt.spectral import parse_sensor_spec, parse_srf_table
-        spec = parse_sensor_spec(Path(SENSOR).read_text())
-        table = parse_srf_table(Path(SRF).read_text(), spec)
-        cube = read_cube(cube_file.read_bytes())
-        w = build_weight_matrix(cube.grid, table, spec)
-        path = tmp_path / "weights.csv"
-        path.write_text(write_weights_csv(w))
+    def test_inspect_mask(self, tmp_path, capsys):
+        path = tmp_path / "m.hsm"
+        path.write_bytes(write_mask(LabelMask(labels=np.asarray([[0, 2], [2, -1]], dtype=np.int16))))
         assert main(["inspect", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["kind"] == "weight_matrix"
-        assert report["n_targets"] == 12
-
-    def test_inspect_plan_json(self, tmp_path, cube_file, capsys):
-        from hsadapt.band_select import nearest_band_indices
-        from hsadapt.spectral import parse_sensor_spec
-        spec = parse_sensor_spec(Path(SENSOR).read_text())
-        cube = read_cube(cube_file.read_bytes())
-        plan = nearest_band_indices(cube.grid, spec)
-        path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
-        assert main(["inspect", str(path)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["kind"] == "selection_plan"
-        assert report["n_targets"] == 12
+        assert report["label_counts"] == {"-1": 1, "0": 1, "2": 2}
+        assert report["ignored_fraction"] == 0.25
 
 
 class TestEnvThreads:
@@ -245,3 +226,55 @@ class TestEnvThreads:
         rc = main(["adapt", "--method", "srf", "--srf", SRF, "--sensor", SENSOR,
                    "--input", str(cube_file), "--output", str(tmp_path / "o.hsc")])
         assert rc == 1
+
+
+def put(d: Path, name: str, data: str | bytes) -> str:
+    path = d / name
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data, encoding="utf-8")
+    return str(path)
+
+
+def adapt_argv(d: Path, cube: Path, sensor: str = SENSOR, srf: str | None = None) -> list[str]:
+    method = ["--method", "srf", "--srf", srf] if srf else ["--method", "naive"]
+    return ["adapt", *method, "--sensor", sensor, "--input", str(cube), "--output", str(d / "o.hsc")]
+
+
+def reg_argv(d: Path, pred: str) -> list[str]:
+    good = put(d, "good.csv", "sample_id,K\na,1\nb,2\n")
+    return ["metrics", "reg", "--pred", pred, "--truth", good, "--train", good]
+
+
+def spec_with_center(center: str) -> str:
+    return '{"sensor": "s", "bands": [{"name": "B", "center_nm": ' + center + "}]}"
+
+
+PLAN = {"indices": [1, 0], "distances_nm": [0.0, 0.0], "source_grid_hash": "ab"}
+BAD_INPUTS = {
+    "srf-huge-cell": lambda d, cube: adapt_argv(
+        d, cube, srf=put(d, "srf.csv", "wavelength_nm,B01\n" + "1" * 200_000 + ",0\n")),
+    "targets-huge-cell": lambda d, cube: reg_argv(
+        d, put(d, "p.csv", "sample_id,K\n" + "a" * 200_000 + ",1\n")),
+    "spec-huge-center": lambda d, cube: adapt_argv(
+        d, cube, sensor=put(d, "s.json", spec_with_center("1" + "0" * 400))),
+    "spec-over-long-integer": lambda d, cube: adapt_argv(
+        d, cube, sensor=put(d, "s.json", spec_with_center("1" * 5000))),
+    "spec-deeply-nested": lambda d, cube: adapt_argv(
+        d, cube, sensor=put(d, "s.json", "[" * 100_000)),
+    "spec-not-utf8": lambda d, cube: adapt_argv(
+        d, cube, sensor=put(d, "s.json", b'{"sensor": "\xff"}')),
+    "targets-not-utf8": lambda d, cube: reg_argv(d, put(d, "p.csv", b"sample_id,K\n\xff,1\n")),
+    "adapt-input-dir": lambda d, cube: adapt_argv(d, d),
+    "inspect-dir": lambda d, cube: ["inspect", str(d)],
+    "inspect-plan-json": lambda d, cube: ["inspect", put(d, "plan.json", json.dumps(PLAN))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_is_data_error(tmp_path, cube_file, capsys, name):
+    """Each malformed input exits 1 with a one-line error, never a traceback."""
+    assert main(BAD_INPUTS[name](tmp_path, cube_file)) == 1
+    assert capsys.readouterr().err.startswith("hsadapt: error:")
+    assert not (tmp_path / "o.hsc").exists()

@@ -124,6 +124,7 @@ MALFORMED_HEADERS = {
     "cube-huge-wavelength": with_header(CUBE_STREAM, lambda h: {**h, "wavelengths_nm": [10**400]}),
     "cube-boolean-dim": with_header(CUBE_STREAM, lambda h: {**h, "c": True}),
     "cube-deeply-nested-header": repack(CUBE_STREAM, b"[" * 100_000),
+    "cube-over-long-integer": repack(CUBE_STREAM, b'{"h": ' + b"1" * 5000 + b"}"),
     "mask-list-header": with_header(MASK_STREAM, lambda h: [h]),
     "mask-boolean-ignore": with_header(MASK_STREAM, lambda h: {**h, "ignore_value": True}),
 }

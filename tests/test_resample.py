@@ -5,13 +5,7 @@ import pytest
 
 from hsadapt.cube_io import HyperCube
 from hsadapt.errors import EmptySupportError, GridMismatchError, ValidationError
-from hsadapt.resample import (
-    build_weight_matrix,
-    read_weights_csv,
-    resample_cube,
-    weight_summary,
-    write_weights_csv,
-)
+from hsadapt.resample import build_weight_matrix, resample_cube, weight_summary
 from hsadapt.spectral import SensorSpec, SrfTable, TargetBand, WavelengthGrid
 from oracles import normalized_weight_column, resample_cube_loops
 
@@ -233,10 +227,3 @@ class TestWeightSummary:
         w = build_weight_matrix(WavelengthGrid(tuple(grid_vals)), table, sensor(("B08", 842.0)))
         band = weight_summary(w)["bands"][0]
         assert 1.0 < band["effective_width_bands"] < band["support_count"]
-
-    def test_csv_round_trip(self):
-        grid, w = simple_weights()
-        again = read_weights_csv(write_weights_csv(w))
-        assert np.array_equal(again.weights, w.weights)
-        assert again.band_names == w.band_names
-        assert again.source_grid_hash == w.source_grid_hash

@@ -10,8 +10,6 @@ from hsadapt.spectral import (
     WavelengthGrid,
     parse_sensor_spec,
     parse_srf_table,
-    serialize_sensor_spec,
-    serialize_srf_table,
     srf_evaluate,
 )
 
@@ -76,11 +74,6 @@ class TestParseSensorSpec:
         with pytest.raises(FormatError):
             parse_sensor_spec("{not json")
 
-    def test_round_trip(self):
-        spec = parse_sensor_spec(SPEC_2BAND)
-        again = parse_sensor_spec(serialize_sensor_spec(spec))
-        assert again == spec
-
 
 def make_table(grid, cols):
     names = tuple(sorted(cols))
@@ -129,14 +122,6 @@ class TestParseSrfTable:
         table = parse_srf_table("wavelength_nm,B1,B2\n490,0.1,0.9\n610,0.2,0.8\n", spec)
         assert table.band_names == ("B2", "B1")
         assert table.sensitivities[0] == (0.9, 0.8)
-
-    def test_round_trip(self):
-        spec = parse_sensor_spec(
-            '{"sensor": "s", "bands": [{"name": "B1", "center_nm": 500}, {"name": "B2", "center_nm": 600}]}'
-        )
-        table = parse_srf_table("wavelength_nm,B1,B2\n490,0.5,0.125\n510,1.0,0.25\n", spec)
-        again = parse_srf_table(serialize_srf_table(table), spec)
-        assert again == table
 
 
 class TestSrfEvaluate:

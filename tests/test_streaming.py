@@ -1,12 +1,14 @@
 """`hsadapt adapt` streams its input through row strips: the output and both
 manifest digests must equal the whole-cube path's, a failure part-way must
-leave an existing output untouched, and memory must stay near one strip."""
+leave an existing output untouched, and memory must stay near one strip.
+`hsadapt inspect` folds its per-band statistics over the same strips."""
 
 import hashlib
 import io
 import json
 import os
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,15 +112,38 @@ def test_failed_run_leaves_existing_output_untouched(tmp_path, small_strips, met
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == before
 
 
-@pytest.mark.parametrize("method", ["naive", "srf"])
+def test_inspect_folds_strips_like_whole_array_reductions(tmp_path, small_strips, capsys):
+    data = gen_random_cube(H, W, GRID, seed=6).data.copy()
+    data[4:7, 2:4, 30:60] = np.nan  # spans the first strip boundary
+    data[:, :, 100] = np.nan  # a band with no value at all
+    src = tmp_path / "in.hsc"
+    src.write_bytes(write_cube(HyperCube(data=data, wavelengths=GRID.values)))
+    assert main(["inspect", str(src)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["h"], report["w"], report["c"]) == (H, W, len(GRID))
+    bands = report["per_band"]
+    pixels = data.reshape(-1, len(GRID))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the all-NaN band
+        np.testing.assert_array_equal([b["min"] for b in bands], np.nanmin(pixels, axis=0))
+        np.testing.assert_array_equal([b["max"] for b in bands], np.nanmax(pixels, axis=0))
+        mean = np.nanmean(pixels, axis=0, dtype=np.float64)
+    # The mean is accumulated in float64 and reported in float32, so it may
+    # differ from a float64 mean summed in another order by one float32 ulp.
+    np.testing.assert_allclose([b["mean"] for b in bands], mean, rtol=2**-23)
+    assert np.isnan(bands[100]["mean"])
+
+
+@pytest.mark.parametrize("method", ["naive", "srf", "inspect"])
 def test_peak_memory_is_bounded_by_a_strip(tmp_path, monkeypatch, method):
     monkeypatch.setattr(cube_io, "STRIP_BYTES", 1 << 20)
     src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
     src.write_bytes(write_cube(gen_random_cube(96, 96, GRID, seed=4)))
     size = src.stat().st_size  # about 7.4 MB
+    argv = ["inspect", str(src)] if method == "inspect" else adapt_argv(method, src, out)
     tracemalloc.start()
     try:
-        assert main(adapt_argv(method, src, out)) == 0
+        assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
