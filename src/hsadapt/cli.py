@@ -27,6 +27,7 @@ from .cube_io import (
     MASK_MAGIC,
     CubeReader,
     CubeWriter,
+    LabelMask,
     atomic_file,
     read_mask,
     read_targets_csv,
@@ -66,6 +67,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+MAX_CLASSES = 1 << 15  # labels are int16, so at most 0..32767 occur
+
+
+def _class_count(text: str) -> int:
+    n = _positive_int(text)
+    if n > MAX_CLASSES:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_CLASSES} (labels are int16), got {n}")
     return n
 
 
@@ -127,7 +138,10 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
     in_hash = hashlib.sha256()
     with in_path.open("rb") as f:
-        src = CubeReader(f, allow_non_finite=args.allow_nan, hasher=in_hash)
+        # resample_cube checks SRF strips for non-finite values itself.
+        src = CubeReader(
+            f, allow_non_finite=args.allow_nan or args.method == "srf", hasher=in_hash
+        )
         grid = WavelengthGrid(src.wavelengths)
         if args.method == "naive":
             plan = nearest_band_indices(grid, spec)
@@ -177,28 +191,55 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _paired_masks(pred_dir: Path, truth_dir: Path) -> list[tuple[Path, Path]]:
-    preds = {p.stem: p for p in sorted(pred_dir.glob("*.hsm"))}
-    truths = {p.stem: p for p in sorted(truth_dir.glob("*.hsm"))}
-    missing = sorted(set(preds) ^ set(truths))
+def _chip_files(d: str) -> dict[str, str]:
+    """The directory's `*.hsm` entries by stem, from one listing."""
+    # A bare ".hsm" is its own stem, as with Path.stem.
+    return {name[:-4] or name: name for name in os.listdir(d) if name.endswith(".hsm")}
+
+
+def _paired_masks(pred_dir: str, truth_dir: str) -> list[tuple[str, str, str]]:
+    """(stem, prediction path, truth path) for every chip, in stem order."""
+    preds = _chip_files(pred_dir)
+    truths = _chip_files(truth_dir)
+    missing = sorted(preds.keys() ^ truths.keys())
     if missing:
         raise ValidationError(f"unpaired chip file(s): {missing}")
     if not preds:
         raise ValidationError("no .hsm files found to score")
-    return [(preds[s], truths[s]) for s in sorted(preds)]
+    return [
+        (s, os.path.join(pred_dir, preds[s]), os.path.join(truth_dir, truths[s]))
+        for s in sorted(preds)
+    ]
+
+
+def _read_chip(path: str) -> LabelMask:
+    """One mask file, read once; a bad one's error names it."""
+    with open(path, "rb") as f:
+        stream = f.read()
+    try:
+        return read_mask(stream)
+    except HsadaptError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def cmd_metrics_seg(args: argparse.Namespace) -> int:
-    pairs = _paired_masks(Path(args.pred_dir), Path(args.truth_dir))
+    pairs = _paired_masks(args.pred_dir, args.truth_dir)
     acc = ConfusionMatrix(n_classes=args.classes)
     per_chip = []
-    for pred_path, truth_path in pairs:
-        pred = read_mask(pred_path.read_bytes())
-        truth = read_mask(truth_path.read_bytes())
-        chip = accumulate_confusion(pred, truth, args.classes, args.ignore)
+    for stem, pred_path, truth_path in pairs:
+        pred = _read_chip(pred_path)
+        truth = _read_chip(truth_path)
+        try:
+            # --per-chip scores each chip on its own matrix and merges it;
+            # otherwise every chip is counted straight into the pool.
+            chip = accumulate_confusion(
+                pred, truth, args.classes, args.ignore, acc=None if args.per_chip else acc
+            )
+        except ValidationError as e:
+            raise ValidationError(f"{pred_path} vs {truth_path}: {e}") from None
         if args.per_chip:
-            per_chip.append({"chip": pred_path.stem, "miou": miou(chip).to_dict()["miou"]})
-        acc = acc.merge(chip)
+            per_chip.append({"chip": stem, "miou": miou(chip).to_dict()["miou"]})
+            acc = acc.merge(chip)
     report = miou(acc).to_dict()
     report["ignored_pixels"] = acc.ignored_pixels
     report["chips"] = len(pairs)
@@ -343,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg = msub.add_parser("seg", help="segmentation mIoU over paired mask directories")
     p_seg.add_argument("--pred-dir", required=True)
     p_seg.add_argument("--truth-dir", required=True)
-    p_seg.add_argument("--classes", required=True, type=int)
+    p_seg.add_argument("--classes", required=True, type=_class_count)
     p_seg.add_argument("--ignore", type=int, default=-1)
     p_seg.add_argument("--per-chip", action="store_true")
     p_seg.add_argument("--out")

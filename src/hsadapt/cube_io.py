@@ -90,12 +90,15 @@ class LabelMask:
             raise ValidationError("mask labels must be H×W")
         if self.labels.dtype != np.int16:
             raise ValidationError("mask storage must be int16")
-        bad = (self.labels < 0) & (self.labels != self.ignore_value)
-        if np.any(bad):
-            raise ValidationError(
-                f"mask contains out-of-range label {int(self.labels[bad][0])} "
-                f"(negative labels other than ignore_value {self.ignore_value})"
-            )
+        # Fast path: no negative label at all, or only -1 when -1 is ignore_value.
+        lowest = self.labels.min(initial=0)
+        if lowest < 0 and not lowest == self.ignore_value == -1:
+            bad = (self.labels < 0) & (self.labels != self.ignore_value)
+            if np.any(bad):
+                raise ValidationError(
+                    f"mask contains out-of-range label {int(self.labels[bad][0])} "
+                    f"(negative labels other than ignore_value {self.ignore_value})"
+                )
         self.labels.setflags(write=False)
 
 
@@ -110,6 +113,33 @@ def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _header_length(prefix: bytes, magic: bytes, size: int) -> int:
+    """Check the first 12 bytes of a container stream of `size` bytes (magic,
+    version and a header length that fits) and return the header length."""
+    if len(prefix) < 12:
+        raise FormatError("stream too short for magic and header length")
+    got = prefix[:4]
+    if got != magic:
+        if got[:3] == magic[:3] and got[3:4].isdigit():
+            raise FormatError(f"unsupported version {got.decode('ascii', 'replace')!r}")
+        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+    (hlen,) = struct.unpack("<Q", prefix[4:12])
+    if 12 + hlen > size:
+        raise FormatError(f"declared header length {hlen} exceeds stream size")
+    return hlen
+
+
+def _header_object(raw: bytes) -> dict:
+    """Decode a container's JSON header, which must be an object."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or syntax, huge integer, deep nesting
+        raise FormatError(f"invalid header JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise FormatError("header must be a JSON object")
+    return header
+
+
 def _read_header(f: BinaryIO, magic: bytes) -> tuple[dict, bytes, int]:
     """Read and check a container's magic, header length and JSON header.
 
@@ -122,24 +152,9 @@ def _read_header(f: BinaryIO, magic: bytes) -> tuple[dict, bytes, int]:
     size = f.seek(0, os.SEEK_END) - start
     f.seek(start)
     prefix = f.read(12)
-    if len(prefix) < 12:
-        raise FormatError("stream too short for magic and header length")
-    got = prefix[:4]
-    if got != magic:
-        if got[:3] == magic[:3] and got[3:4].isdigit():
-            raise FormatError(f"unsupported version {got.decode('ascii', 'replace')!r}")
-        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-    (hlen,) = struct.unpack("<Q", prefix[4:12])
-    if 12 + hlen > size:
-        raise FormatError(f"declared header length {hlen} exceeds stream size")
+    hlen = _header_length(prefix, magic, size)
     raw = f.read(hlen)
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # bad UTF-8 or syntax, huge integer, deep nesting
-        raise FormatError(f"invalid header JSON: {e}") from None
-    if not isinstance(header, dict):
-        raise FormatError("header must be a JSON object")
-    return header, prefix + raw, size - 12 - hlen
+    return _header_object(raw), prefix + raw, size - 12 - hlen
 
 
 def _header_dims(header: dict, dims: tuple[str, ...], dtype: str) -> tuple[int, ...]:
@@ -298,16 +313,17 @@ def atomic_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
 
 
 def read_mask(stream: bytes) -> LabelMask:
-    f = io.BytesIO(stream)
-    header, _, payload_len = _read_header(f, MASK_MAGIC)
+    """Decode an HSM-v1 stream. The labels are a read-only view of `stream`,
+    not a copy."""
+    hlen = _header_length(stream[:12], MASK_MAGIC, len(stream))
+    header = _header_object(stream[12 : 12 + hlen])
     h, w = _header_dims(header, ("h", "w"), "i16le")
     ignore = header.get("ignore_value", -1)
     if not _is_int(ignore):
         raise FormatError("ignore_value must be an integer")
-    _check_payload(payload_len, h * w * 2)
-    labels = np.empty((h, w), dtype="<i2")
-    f.readinto(_bytes_of(labels))
-    return LabelMask(labels=labels, ignore_value=ignore)
+    _check_payload(len(stream) - 12 - hlen, h * w * 2)
+    labels = np.frombuffer(stream, dtype="<i2", count=h * w, offset=12 + hlen)
+    return LabelMask(labels=labels.reshape(h, w), ignore_value=ignore)
 
 
 def write_mask(mask: LabelMask) -> bytes:

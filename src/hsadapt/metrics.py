@@ -4,6 +4,7 @@ multi-target regression."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -71,6 +72,41 @@ class RegReport:
         }
 
 
+@functools.lru_cache(maxsize=8)
+def _bin_offsets(n_classes: int, ignore_value: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each int16 label's bin offset as truth (its row times n + 1) and as
+    prediction (its column), indexed by the label's 16-bit pattern.
+
+    Rows and columns 0..n-1 are the classes. Truth row n holds ignored pixels
+    and row n + 1 out-of-range labels; prediction column n holds out-of-range
+    labels. The integer type is the smallest that holds every bin index. The
+    arrays are read-only because every caller shares them.
+    """
+    n = n_classes
+    bins = (n + 2) * (n + 1)
+    dtype = np.int16 if bins <= 1 << 15 else np.int32 if bins <= 1 << 31 else np.int64
+    labels = np.arange(1 << 16, dtype=np.uint16).view(np.int16).astype(dtype)
+    in_range = (labels >= 0) & (labels < n)
+    rows = np.where(in_range, labels, n + 1)
+    rows[labels == ignore_value] = n  # an ignore value outside int16 matches nothing
+    rows *= n + 1
+    cols = np.where(in_range, labels, n)
+    for t in (rows, cols):
+        t.setflags(write=False)
+    return rows, cols
+
+
+def _label_error(p: np.ndarray, t: np.ndarray, n_classes: int, ignore_value: int) -> ValidationError:
+    """The first out-of-range label in C order, truth checked before prediction."""
+    keep = t != ignore_value
+    t_bad = keep & ((t < 0) | (t >= n_classes))
+    if np.any(t_bad):
+        return ValidationError(f"truth label {int(t[t_bad][0])} outside [0, {n_classes})")
+    pk = p[keep]
+    p_bad = (pk < 0) | (pk >= n_classes)
+    return ValidationError(f"pred label {int(pk[p_bad][0])} outside [0, {n_classes})")
+
+
 def accumulate_confusion(
     pred: LabelMask,
     truth: LabelMask,
@@ -78,7 +114,8 @@ def accumulate_confusion(
     ignore_value: int = -1,
     acc: ConfusionMatrix | None = None,
 ) -> ConfusionMatrix:
-    """Add one chip to the pooled confusion matrix.
+    """Add one chip to a pooled confusion matrix in place and return it (a new
+    matrix when acc is None). On an error acc is left unchanged.
 
     Pixels whose truth equals ignore_value are dropped entirely; the ignore
     value applies to truth only, so predictions inside ignored regions are
@@ -92,21 +129,18 @@ def accumulate_confusion(
     t = truth.labels
     if p.shape != t.shape:
         raise ValidationError(f"shape mismatch: pred {p.shape} vs truth {t.shape}")
-    keep = t != ignore_value
-    t_bad = keep & ((t < 0) | (t >= n_classes))
-    if np.any(t_bad):
-        raise ValidationError(f"truth label {int(t[t_bad][0])} outside [0, {n_classes})")
-    pk = p[keep]
-    p_bad = (pk < 0) | (pk >= n_classes)
-    if np.any(p_bad):
-        raise ValidationError(f"pred label {int(pk[p_bad][0])} outside [0, {n_classes})")
-    tk = t[keep].astype(np.int64)
-    hist = np.bincount(n_classes * tk + pk.astype(np.int64), minlength=n_classes**2)
-    return ConfusionMatrix(
-        n_classes=n_classes,
-        counts=acc.counts + hist.reshape(n_classes, n_classes),
-        ignored_pixels=acc.ignored_pixels + int(np.count_nonzero(~keep)),
-    )
+    n = n_classes
+    rows, cols = _bin_offsets(n, ignore_value)
+    # One table lookup per label and one bincount per chip; out-of-range labels
+    # land in the extra bins instead of being screened in separate passes.
+    codes = np.take(rows, t.view(np.uint16))
+    codes += np.take(cols, p.view(np.uint16))
+    hist = np.bincount(codes.ravel(), minlength=(n + 2) * (n + 1)).reshape(n + 2, n + 1)
+    if hist[n + 1].any() or hist[:n, n].any():
+        raise _label_error(p, t, n, ignore_value)
+    acc.counts += hist[:n, :n]
+    acc.ignored_pixels += int(hist[n].sum())
+    return acc
 
 
 def miou(acc: ConfusionMatrix) -> SegReport:

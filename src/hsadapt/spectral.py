@@ -145,6 +145,10 @@ def srf_evaluate(table: SrfTable, band_index: int, wavelength: float) -> float:
     return float(_sample_srf(table, (band_index,), (wavelength,))[0, 0])
 
 
+def _is_name(v: object) -> bool:
+    return isinstance(v, str) and v != ""
+
+
 def parse_sensor_spec(text: str) -> SensorSpec:
     """Parse the JSON sensor-spec document."""
     try:
@@ -155,10 +159,14 @@ def parse_sensor_spec(text: str) -> SensorSpec:
         raise FormatError('sensor spec must be an object with "sensor" and "bands" keys')
     if not isinstance(doc["bands"], list) or not doc["bands"]:
         raise ValidationError("sensor spec must list at least one band")
+    if not _is_name(doc["sensor"]):
+        raise FormatError("sensor name must be a non-empty string")
     bands = []
-    for entry in doc["bands"]:
+    for i, entry in enumerate(doc["bands"]):
         if not isinstance(entry, dict) or "name" not in entry or "center_nm" not in entry:
             raise FormatError('each band needs "name" and "center_nm"')
+        if not _is_name(entry["name"]):
+            raise FormatError(f"band {i}: name must be a non-empty string")
         center = entry["center_nm"]
         if not isinstance(center, (int, float)) or isinstance(center, bool):
             raise FormatError(f'band {entry.get("name")!r}: center_nm must be a number')
@@ -166,8 +174,8 @@ def parse_sensor_spec(text: str) -> SensorSpec:
             center = float(center)
         except OverflowError:
             raise FormatError(f'band {entry.get("name")!r}: center_nm is out of range') from None
-        bands.append(TargetBand(name=str(entry["name"]), center=center))
-    return SensorSpec(sensor_name=str(doc["sensor"]), bands=tuple(bands))
+        bands.append(TargetBand(name=entry["name"], center=center))
+    return SensorSpec(sensor_name=doc["sensor"], bands=tuple(bands))
 
 
 def parse_srf_table(text: str, spec: SensorSpec) -> SrfTable:

@@ -69,15 +69,19 @@ def resample_cube_loops(data, weights):
 
 
 def confusion_tally(pred, truth, n_classes, ignore_value):
-    """Per-pixel tally into a nested-list matrix."""
+    """Per-pixel tally into a nested-list matrix. Returns (counts, ignored),
+    or None when a kept truth label or a kept prediction is outside
+    [0, n_classes)."""
     counts = [[0] * n_classes for _ in range(n_classes)]
     ignored = 0
     for prow, trow in zip(pred, truth):
         for p, t in zip(prow, trow):
             if t == ignore_value:
                 ignored += 1
-            else:
+            elif 0 <= t < n_classes and 0 <= p < n_classes:
                 counts[t][p] += 1
+            else:
+                return None
     return counts, ignored
 
 

@@ -1,7 +1,9 @@
-"""Bit-identity of the vectorized weight build and the supported-band kernel
-against in-test copies of the straightforward scalar sampler and dense
-fixed-order accumulation loop they replace."""
+"""Bit-identity of the vectorized weight build, the supported-band kernel and
+the fused confusion kernel against in-test copies of the straightforward
+scalar sampler, dense fixed-order accumulation loop and masked bincount they
+replace."""
 
+import json
 import os
 
 import numpy as np
@@ -9,10 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hsadapt.cube_io import HyperCube
-from hsadapt.errors import EmptySupportError
+from hsadapt.cli import main
+from hsadapt.cube_io import HyperCube, LabelMask, write_mask
+from hsadapt.errors import EmptySupportError, ValidationError
+from hsadapt.metrics import ConfusionMatrix, accumulate_confusion, miou
 from hsadapt.resample import WeightMatrix, _pool_size, build_weight_matrix, resample_cube
 from hsadapt.spectral import SensorSpec, SrfTable, TargetBand, WavelengthGrid
+from oracles import confusion_tally
 
 
 def scalar_srf(grid, col, wavelength):
@@ -143,3 +148,119 @@ def test_pool_size_is_capped_by_tiles_and_cpus(monkeypatch):
     assert _pool_size(64, 3) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool_size(8, 16) == 1
+
+
+def masked_confusion(p, t, n_classes, ignore_value):
+    """Boolean-mask the kept pixels, range-check them (truth first, then
+    prediction, first offender in C order), then bincount truth×prediction.
+    Returns (counts, ignored)."""
+    keep = t != ignore_value
+    t_bad = keep & ((t < 0) | (t >= n_classes))
+    if np.any(t_bad):
+        raise ValidationError(f"truth label {int(t[t_bad][0])} outside [0, {n_classes})")
+    pk = p[keep]
+    p_bad = (pk < 0) | (pk >= n_classes)
+    if np.any(p_bad):
+        raise ValidationError(f"pred label {int(pk[p_bad][0])} outside [0, {n_classes})")
+    tk = t[keep].astype(np.int64)
+    hist = np.bincount(n_classes * tk + pk.astype(np.int64), minlength=n_classes**2)
+    return hist.reshape(n_classes, n_classes), int(np.count_nonzero(~keep))
+
+
+INT16 = (-(2**15), 2**15 - 1)
+
+
+@st.composite
+def confusion_cases(draw):
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    ignore = draw(st.sampled_from(["class", -1, INT16[0], INT16[1], 2**15, -(2**15) - 1, 2**70]))
+    if ignore == "class":
+        ignore = draw(st.integers(0, n - 1))
+    truth = rng.integers(0, n, shape, dtype=np.int16)
+    pred = rng.integers(0, n, shape, dtype=np.int16)
+    if INT16[0] <= ignore <= INT16[1]:
+        truth[rng.random(shape) < 0.3] = ignore
+    # A mask may hold one negative value, its own ignore_value.
+    negative = {"truth": ignore if INT16[0] <= ignore < 0 else None, "pred": None}
+    for side in draw(st.sampled_from([(), ("truth",), ("pred",), ("truth", "pred")])):
+        bad = draw(st.integers(n, INT16[1]) | st.integers(INT16[0], -1))
+        if bad < 0 and negative[side] not in (None, bad):
+            bad = INT16[1]  # the mask already holds another negative value
+        if bad < 0:
+            negative[side] = bad
+        labels = truth if side == "truth" else pred
+        labels[rng.random(shape) < draw(st.sampled_from([0.05, 0.5]))] = bad
+    truth_mask = LabelMask(truth, -1 if negative["truth"] is None else negative["truth"])
+    pred_mask = LabelMask(pred, -1 if negative["pred"] is None else negative["pred"])
+    return pred_mask, truth_mask, n, ignore
+
+
+@settings(max_examples=150, deadline=None)
+@given(confusion_cases())
+def test_fused_confusion_equals_masked_bincount(case):
+    pred, truth, n, ignore = case
+    prior = np.arange(n * n, dtype=np.int64).reshape(n, n)
+    acc = ConfusionMatrix(n_classes=n, counts=prior.copy(), ignored_pixels=5)
+    try:
+        want_counts, want_ignored = masked_confusion(pred.labels, truth.labels, n, ignore)
+    except ValidationError as want:
+        assert confusion_tally(pred.labels.tolist(), truth.labels.tolist(), n, ignore) is None
+        with pytest.raises(ValidationError) as got:
+            accumulate_confusion(pred, truth, n, ignore, acc=acc)
+        assert type(got.value) is type(want) and str(got.value) == str(want)
+        assert np.array_equal(acc.counts, prior) and acc.ignored_pixels == 5
+        return
+    tally_counts, tally_ignored = confusion_tally(
+        pred.labels.tolist(), truth.labels.tolist(), n, ignore
+    )
+    assert np.array_equal(want_counts, tally_counts) and want_ignored == tally_ignored
+    assert accumulate_confusion(pred, truth, n, ignore, acc=acc) is acc
+    assert np.array_equal(acc.counts, prior + want_counts)
+    assert acc.ignored_pixels == 5 + want_ignored
+    fresh = accumulate_confusion(pred, truth, n, ignore)
+    assert np.array_equal(fresh.counts, want_counts) and fresh.ignored_pixels == want_ignored
+
+
+def masked_seg_report(chips, n_classes, ignore_value, per_chip):
+    """The metrics seg report built from masked_confusion: chips in stem
+    order, one matrix per chip merged into a pooled one."""
+    pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
+    ignored = 0
+    rows = []
+    for stem, (pred, truth) in sorted(chips.items()):
+        counts, chip_ignored = masked_confusion(pred, truth, n_classes, ignore_value)
+        rows.append({"chip": stem, "miou": miou(ConfusionMatrix(n_classes, counts)).miou})
+        pooled += counts
+        ignored += chip_ignored
+    report = miou(ConfusionMatrix(n_classes, pooled)).to_dict()
+    report["ignored_pixels"] = ignored
+    report["chips"] = len(chips)
+    if per_chip:
+        report["per_chip"] = rows
+        report["per_chip_mean_miou"] = float(np.mean([r["miou"] for r in rows]))
+    return (json.dumps(report, indent=2) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("per_chip", [False, True])
+def test_seg_report_bytes_equal_masked_bincount_report(tmp_path, capsys, per_chip):
+    n, ignore = 6, -1
+    rng = np.random.default_rng(2024)
+    chips = {}
+    for d in ("pred", "truth"):
+        (tmp_path / d).mkdir()
+    for i in rng.permutation(50):
+        truth = rng.integers(0, n, (24, 20), dtype=np.int16)
+        truth[rng.random(truth.shape) < 0.1] = ignore
+        pred = np.where(rng.random(truth.shape) < 0.3, rng.integers(0, n, truth.shape),
+                        np.maximum(truth, 0)).astype(np.int16)
+        stem = f"chip{i}"  # chip10 sorts before chip2: stem order, not numeric
+        chips[stem] = (pred, truth)
+        (tmp_path / "pred" / f"{stem}.hsm").write_bytes(write_mask(LabelMask(pred, ignore)))
+        (tmp_path / "truth" / f"{stem}.hsm").write_bytes(write_mask(LabelMask(truth, ignore)))
+    out = tmp_path / "report.json"
+    argv = ["metrics", "seg", "--pred-dir", str(tmp_path / "pred"), "--truth-dir",
+            str(tmp_path / "truth"), "--classes", str(n), "--out", str(out)]
+    assert main(argv + (["--per-chip"] if per_chip else [])) == 0
+    assert out.read_bytes() == masked_seg_report(chips, n, ignore, per_chip)

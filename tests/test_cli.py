@@ -1,10 +1,13 @@
 import json
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hsadapt.cli import main
+import hsadapt.cli
+from hsadapt.cli import _paired_masks, main
 from hsadapt.cube_io import LabelMask, read_cube, write_cube, write_mask
 from hsadapt.synth import gen_random_cube
 from hsadapt.spectral import WavelengthGrid
@@ -123,6 +126,67 @@ class TestMetricsSeg:
                    "--truth-dir", str(tmp_path / "truth"), "--classes", "1"])
         assert rc == 1
         assert "b" in capsys.readouterr().err
+
+    def seg_argv(self, d, classes="2", *flags):
+        return ["metrics", "seg", "--pred-dir", str(d / "pred"), "--truth-dir", str(d / "truth"),
+                "--classes", classes, *flags]
+
+    def test_errors_name_the_chip_file(self, tmp_path, capsys):
+        ok = np.asarray([[0, 1], [1, 0]])
+        self.write_masks(tmp_path / "pred", {"a": ok, "b": ok, "c": ok})
+        self.write_masks(tmp_path / "truth", {"a": ok, "b": [[0, 7], [1, 0]], "c": ok})
+        (tmp_path / "pred" / "c.hsm").write_bytes(b"HSM1\0\0")
+        assert main(self.seg_argv(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "truth" / "b.hsm") in err
+        assert "truth label 7 outside [0, 2)" in err
+        self.write_masks(tmp_path / "truth", {"b": ok})
+        assert main(self.seg_argv(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"hsadapt: error: {tmp_path / 'pred' / 'c.hsm'}: stream too short")
+
+    @pytest.mark.parametrize("classes", ["0", "-1", "32769", "3000000"])
+    def test_classes_outside_int16_labels_is_usage_error(self, tmp_path, capsys, classes):
+        ok = np.zeros((2, 2), dtype=int)
+        self.write_masks(tmp_path / "pred", {"a": ok})
+        self.write_masks(tmp_path / "truth", {"a": ok})
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as e:
+                main(self.seg_argv(tmp_path, classes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.value.code == 2
+        assert "argument --classes: must be" in capsys.readouterr().err
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("per_chip", [False, True])
+    def test_scoring_calls_go_through_cli_names(self, tmp_path, capsys, monkeypatch, per_chip):
+        """The benchmark's tracer wraps these two names in hsadapt.cli; if the
+        CLI stopped calling them there, its per-layer spans would read 0."""
+        calls = Counter()
+        for name in ("read_mask", "accumulate_confusion"):
+            def counted(*args, _fn=getattr(hsadapt.cli, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(hsadapt.cli, name, counted)
+        chips = {f"c{i}": np.random.default_rng(i).integers(0, 2, (4, 4)) for i in range(5)}
+        self.write_masks(tmp_path / "pred", chips)
+        self.write_masks(tmp_path / "truth", chips)
+        assert main(self.seg_argv(tmp_path, "2", *(["--per-chip"] if per_chip else []))) == 0
+        assert calls == {"read_mask": 10, "accumulate_confusion": 5}
+
+    def test_pairs_are_the_files_glob_finds(self, tmp_path):
+        names = ["a.hsm", "b.c.hsm", ".hidden.hsm", ".hsm", "x.HSM", "y.hsm.bak", "z.hsmx"]
+        for d in (tmp_path / "pred", tmp_path / "truth"):
+            d.mkdir()
+            for name in names:
+                (d / name).write_bytes(b"")
+            (d / "dir.hsm").mkdir()
+        want = [(p.stem, str(p), str(tmp_path / "truth" / p.name))
+                for p in sorted((tmp_path / "pred").glob("*.hsm"), key=lambda p: p.stem)]
+        assert _paired_masks(str(tmp_path / "pred"), str(tmp_path / "truth")) == want
 
     def test_per_chip_flag(self, tmp_path, capsys):
         chips = {"a": np.asarray([[0, 1], [1, 1]])}
@@ -251,6 +315,10 @@ def spec_with_center(center: str) -> str:
     return '{"sensor": "s", "bands": [{"name": "B", "center_nm": ' + center + "}]}"
 
 
+def spec_with_name(name: str, sensor: str = '"s"') -> str:
+    return '{"sensor": ' + sensor + ', "bands": [{"name": ' + name + ', "center_nm": 490}]}'
+
+
 PLAN = {"indices": [1, 0], "distances_nm": [0.0, 0.0], "source_grid_hash": "ab"}
 BAD_INPUTS = {
     "srf-huge-cell": lambda d, cube: adapt_argv(
@@ -266,6 +334,14 @@ BAD_INPUTS = {
     "spec-not-utf8": lambda d, cube: adapt_argv(
         d, cube, sensor=put(d, "s.json", b'{"sensor": "\xff"}')),
     "targets-not-utf8": lambda d, cube: reg_argv(d, put(d, "p.csv", b"sample_id,K\n\xff,1\n")),
+    "spec-band-name-null": lambda d, cube: adapt_argv(
+        d, cube, sensor=put(d, "s.json", spec_with_name("null"))),
+    "spec-band-name-list": lambda d, cube: adapt_argv(
+        d, cube, sensor=put(d, "s.json", spec_with_name("[1]"))),
+    "spec-band-name-number": lambda d, cube: adapt_argv(
+        d, cube, sensor=put(d, "s.json", spec_with_name("3"))),
+    "spec-sensor-name-null": lambda d, cube: adapt_argv(
+        d, cube, sensor=put(d, "s.json", spec_with_name('"B"', sensor="null"))),
     "adapt-input-dir": lambda d, cube: adapt_argv(d, d),
     "inspect-dir": lambda d, cube: ["inspect", str(d)],
     "inspect-plan-json": lambda d, cube: ["inspect", put(d, "plan.json", json.dumps(PLAN))],

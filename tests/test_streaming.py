@@ -112,6 +112,23 @@ def test_failed_run_leaves_existing_output_untouched(tmp_path, small_strips, met
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == before
 
 
+@pytest.mark.parametrize("method", ["naive", "srf"])
+def test_each_strip_is_checked_for_finiteness_once(tmp_path, small_strips, monkeypatch, method):
+    src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
+    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=7)))
+    checked = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        checked.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    assert main(adapt_argv(method, src, out)) == 0
+    strips = [(rows, W, len(GRID)) for rows in (5, 5, 5, 5, 3)]
+    assert sorted(s for s in checked if len(s) == 3) == sorted(strips)
+
+
 def test_inspect_folds_strips_like_whole_array_reductions(tmp_path, small_strips, capsys):
     data = gen_random_cube(H, W, GRID, seed=6).data.copy()
     data[4:7, 2:4, 30:60] = np.nan  # spans the first strip boundary
