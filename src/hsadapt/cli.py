@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 data/validation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -21,7 +22,6 @@ from typing import BinaryIO
 import numpy as np
 
 from . import __version__
-from .band_select import apply_selection, nearest_band_indices
 from .cube_io import (
     CUBE_MAGIC,
     MASK_MAGIC,
@@ -35,15 +35,12 @@ from .cube_io import (
     write_mask,
 )
 from .errors import FormatError, HsadaptError, ValidationError
+# Top-level imports are only what every command loading this module needs;
+# each command imports the rest itself (see "Process cost" in the README).
+# metrics stays here: benchmark spans and tests wrap `read_mask` and
+# `accumulate_confusion` by their names in this module.
 from .metrics import ConfusionMatrix, accumulate_confusion, baseline_mse, miou, nmse
-from .resample import build_weight_matrix, resample_cube
 from .spectral import WavelengthGrid, parse_sensor_spec, parse_srf_table
-from .synth import (
-    AbsorptionFeatureSpec,
-    gen_absorption_cube,
-    gen_flat_cube,
-    gen_random_cube,
-)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -119,7 +116,8 @@ def _write_manifest(
 def _emit_report(report: dict, text_lines: list[str], out: str | None) -> None:
     doc = json.dumps(report, indent=2)
     if out:
-        Path(out).write_text(doc + "\n", encoding="utf-8")
+        with atomic_file(out) as f:
+            f.write((doc + "\n").encode("utf-8"))
     else:
         print(doc)
     for line in text_lines:
@@ -144,12 +142,16 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         )
         grid = WavelengthGrid(src.wavelengths)
         if args.method == "naive":
+            from .band_select import apply_selection, nearest_band_indices
+
             plan = nearest_band_indices(grid, spec)
             out_wavelengths = tuple(src.wavelengths[j] for j in plan.indices)
             adapt = lambda strip: apply_selection(strip, plan)
             srf_inputs = {}
             extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
         else:
+            from .resample import build_weight_matrix, resample_cube
+
             srf_path = Path(args.srf)
             srf_digest, srf_text = _read_text(srf_path)
             table = parse_srf_table(srf_text, spec)
@@ -233,7 +235,11 @@ def cmd_metrics_seg(args: argparse.Namespace) -> int:
             # --per-chip scores each chip on its own matrix and merges it;
             # otherwise every chip is counted straight into the pool.
             chip = accumulate_confusion(
-                pred, truth, args.classes, args.ignore, acc=None if args.per_chip else acc
+                pred,
+                truth,
+                args.classes,
+                truth.ignore_value if args.ignore is None else args.ignore,
+                acc=None if args.per_chip else acc,
             )
         except ValidationError as e:
             raise ValidationError(f"{pred_path} vs {truth_path}: {e}") from None
@@ -264,7 +270,8 @@ def cmd_metrics_reg(args: argparse.Namespace) -> int:
             f"sample ids differ between pred and truth: {sorted(set(pred_ids) ^ set(truth_ids))}"
         )
     # Align prediction rows to truth order by sample_id.
-    order = [pred_ids.index(i) for i in truth_ids]
+    pred_row = {i: n for n, i in enumerate(pred_ids)}
+    order = [pred_row[i] for i in truth_ids]
     report = nmse(pred[order], truth, baseline_mse(train), tuple(pred_names))
     doc = report.to_dict()
     text = [f"parameters: {', '.join(pred_names)}", f"normalized MSE: {report.nmse:.6f}"]
@@ -280,6 +287,8 @@ def _parse_grid(args: argparse.Namespace) -> WavelengthGrid:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import AbsorptionFeatureSpec, gen_absorption_cube, gen_flat_cube, gen_random_cube
+
     started = time.monotonic()
     grid = _parse_grid(args)
     if args.generator == "flat":
@@ -385,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--pred-dir", required=True)
     p_seg.add_argument("--truth-dir", required=True)
     p_seg.add_argument("--classes", required=True, type=_class_count)
-    p_seg.add_argument("--ignore", type=int, default=-1)
+    p_seg.add_argument(
+        "--ignore", type=int, help="truth label to drop (default: each truth mask's ignore_value)"
+    )
     p_seg.add_argument("--per-chip", action="store_true")
     p_seg.add_argument("--out")
     p_seg.set_defaults(func=cmd_metrics_seg)
@@ -432,5 +443,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
 
 
+def run() -> None:
+    """Process entry point: main(), then exit. Freezing the collector first
+    lets the interpreter's exit-time full collection skip every object alive
+    at that point, numpy's included; the process is ending, so nothing that
+    collection could free matters. main() itself never freezes, so callers
+    that run it in-process keep collecting their garbage."""
+    rc = main()
+    gc.freeze()
+    sys.exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -17,6 +17,7 @@ import io
 import json
 import os
 import struct
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -366,7 +367,8 @@ def read_targets_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
         except ValueError:
             raise FormatError(f"targets CSV line {lineno}: non-numeric cell") from None
     if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
+        counts = Counter(ids)
+        dup = next(i for i in ids if counts[i] > 1)  # first in file order
         raise ValidationError(f"duplicate sample_id {dup!r}")
     table = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(table)):

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -153,6 +152,9 @@ def miou(acc: ConfusionMatrix) -> SegReport:
         raise ValidationError("every class has zero union; mIoU is undefined")
     # Exact rational mean over integer counts, rounded once at the end, so
     # hand-computable cases come out exactly (e.g. (1/2 + 2/3)/2 == 7/12).
+    # Imported here: every CLI command loads this module, only mIoU needs it.
+    from fractions import Fraction
+
     ratios = [Fraction(int(inter[c]), int(union[c])) for c in present]
     per_class = {int(c): float(r) for c, r in zip(present, ratios)}
     return SegReport(

@@ -5,7 +5,6 @@ tiled over pixel blocks for throughput."""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +160,9 @@ def resample_cube(
         for r, c in coords:
             run_tile(r, c)
     else:
+        # Imported only here: concurrent.futures pulls in logging and queue.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda rc: run_tile(*rc), coords))
 

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -188,6 +189,18 @@ class TestMetricsSeg:
                 for p in sorted((tmp_path / "pred").glob("*.hsm"), key=lambda p: p.stem)]
         assert _paired_masks(str(tmp_path / "pred"), str(tmp_path / "truth")) == want
 
+    def test_truth_header_ignore_value_is_the_default(self, tmp_path, capsys):
+        """Without --ignore each truth chip's own ignore_value is dropped; an
+        explicit --ignore applies to every chip instead."""
+        self.write_masks(tmp_path / "pred", {"a": [[0, 1], [1, 1]]})
+        self.write_masks(tmp_path / "truth", {"a": [[0, 255], [1, 255]]}, ignore=255)
+        assert main(self.seg_argv(tmp_path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ignored_pixels"] == 2
+        assert report["miou"] == 1.0
+        assert main(self.seg_argv(tmp_path, "2", "--ignore", "-1")) == 1
+        assert "truth label 255 outside [0, 2)" in capsys.readouterr().err
+
     def test_per_chip_flag(self, tmp_path, capsys):
         chips = {"a": np.asarray([[0, 1], [1, 1]])}
         self.write_masks(tmp_path / "pred", {"a": np.asarray([[0, 0], [1, 1]])})
@@ -216,6 +229,23 @@ class TestMetricsReg:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["nmse"] == pytest.approx(4.0, abs=1e-12)
+
+    def test_rows_align_by_sample_id(self, tmp_path, capsys):
+        """Prediction rows in a shuffled order are matched to truth by id."""
+        rng = np.random.default_rng(1)
+        truth = rng.normal(size=(200, 2))
+        pred = truth + rng.normal(size=truth.shape)
+        header = "sample_id,K,pH\n"
+        line = lambda i, row: f"s{i}," + ",".join(repr(float(v)) for v in row) + "\n"
+        (tmp_path / "truth.csv").write_text(header + "".join(line(i, r) for i, r in enumerate(truth)))
+        shuffled = rng.permutation(len(pred))
+        (tmp_path / "pred.csv").write_text(header + "".join(line(i, pred[i]) for i in shuffled))
+        rc = main(["metrics", "reg", "--pred", str(tmp_path / "pred.csv"),
+                   "--truth", str(tmp_path / "truth.csv"), "--train", str(tmp_path / "truth.csv")])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        want = ((pred - truth) ** 2).mean(axis=0) / truth.var(axis=0)
+        assert report["nmse"] == pytest.approx(want.sum(), rel=1e-12)
 
     def test_degenerate_baseline_is_data_error(self, tmp_path, capsys):
         (tmp_path / "train.csv").write_text("sample_id,K\na,2\nb,2\n")
@@ -354,3 +384,41 @@ def test_bad_input_is_data_error(tmp_path, cube_file, capsys, name):
     assert main(BAD_INPUTS[name](tmp_path, cube_file)) == 1
     assert capsys.readouterr().err.startswith("hsadapt: error:")
     assert not (tmp_path / "o.hsc").exists()
+
+
+def seg_dirs_argv(d: Path) -> list[str]:
+    ok = LabelMask(labels=np.asarray([[0, 1], [1, 0]], dtype=np.int16))
+    for side in ("pred", "truth"):
+        (d / side).mkdir()
+        put(d / side, "a.hsm", write_mask(ok))
+    return ["metrics", "seg", "--pred-dir", str(d / "pred"), "--truth-dir", str(d / "truth"),
+            "--classes", "2"]
+
+
+REPORTS = {
+    "metrics-seg": lambda d, cube: seg_dirs_argv(d),
+    "metrics-reg": lambda d, cube: reg_argv(d, put(d, "p.csv", "sample_id,K\nb,1\na,2\n")),
+    "inspect": lambda d, cube: ["inspect", str(cube)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_out_is_written_atomically(tmp_path, cube_file, monkeypatch, name):
+    """A report that fails to commit leaves an existing --out file as it was
+    and no temporary file beside it."""
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    out = reports / "report.json"
+    argv = REPORTS[name](tmp_path, cube_file) + ["--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_bytes())
+    old = b"an older report"
+    out.write_bytes(old)
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(argv) == 1
+    assert out.read_bytes() == old
+    assert [p.name for p in reports.iterdir()] == ["report.json"]
