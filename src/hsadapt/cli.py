@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -57,14 +57,20 @@ def _read_text(path: Path) -> tuple[str, str]:
     return hashlib.sha256(raw).hexdigest(), text
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 MAX_CLASSES = 1 << 15  # labels are int16, so at most 0..32767 occur
@@ -419,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--center", type=float, default=700.0)
     p_synth.add_argument("--depth", type=float, default=0.2)
     p_synth.add_argument("--fwhm", type=float, default=10.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_int_at_least(0), default=0)
     p_synth.add_argument("--output", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

@@ -11,7 +11,6 @@ Cubes are decoded and encoded in row strips (`CubeReader`, `CubeWriter`), so
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import io
 import json
@@ -26,7 +25,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .spectral import WavelengthGrid, wavelength_digest
+from .spectral import WavelengthGrid, json_float, json_object, read_numeric_csv, wavelength_digest
 
 CUBE_MAGIC = b"HSC1"
 MASK_MAGIC = b"HSM1"
@@ -110,39 +109,8 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v: object) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _header_length(prefix: bytes, magic: bytes, size: int) -> int:
-    """Check the first 12 bytes of a container stream of `size` bytes (magic,
-    version and a header length that fits) and return the header length."""
-    if len(prefix) < 12:
-        raise FormatError("stream too short for magic and header length")
-    got = prefix[:4]
-    if got != magic:
-        if got[:3] == magic[:3] and got[3:4].isdigit():
-            raise FormatError(f"unsupported version {got.decode('ascii', 'replace')!r}")
-        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-    (hlen,) = struct.unpack("<Q", prefix[4:12])
-    if 12 + hlen > size:
-        raise FormatError(f"declared header length {hlen} exceeds stream size")
-    return hlen
-
-
-def _header_object(raw: bytes) -> dict:
-    """Decode a container's JSON header, which must be an object."""
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # bad UTF-8 or syntax, huge integer, deep nesting
-        raise FormatError(f"invalid header JSON: {e}") from None
-    if not isinstance(header, dict):
-        raise FormatError("header must be a JSON object")
-    return header
-
-
 def _read_header(f: BinaryIO, magic: bytes) -> tuple[dict, bytes, int]:
-    """Read and check a container's magic, header length and JSON header.
+    """Read and check a container's magic, version, header length and JSON header.
 
     Returns the header object, the bytes consumed, and the payload length
     left in the stream, measured without reading it.
@@ -153,9 +121,18 @@ def _read_header(f: BinaryIO, magic: bytes) -> tuple[dict, bytes, int]:
     size = f.seek(0, os.SEEK_END) - start
     f.seek(start)
     prefix = f.read(12)
-    hlen = _header_length(prefix, magic, size)
+    if len(prefix) < 12:
+        raise FormatError("stream too short for magic and header length")
+    got = prefix[:4]
+    if got != magic:
+        if got[:3] == magic[:3] and got[3:4].isdigit():
+            raise FormatError(f"unsupported version {got.decode('ascii', 'replace')!r}")
+        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+    (hlen,) = struct.unpack("<Q", prefix[4:12])
+    if 12 + hlen > size:
+        raise FormatError(f"declared header length {hlen} exceeds stream size")
     raw = f.read(hlen)
-    return _header_object(raw), prefix + raw, size - 12 - hlen
+    return json_object(raw, "header"), prefix + raw, size - 12 - hlen
 
 
 def _header_dims(header: dict, dims: tuple[str, ...], dtype: str) -> tuple[int, ...]:
@@ -216,12 +193,8 @@ class CubeReader:
         wavelengths = header.get("wavelengths_nm")
         if not isinstance(wavelengths, list) or len(wavelengths) != c:
             raise FormatError("wavelengths_nm must list exactly c values")
-        if not all(_is_number(v) for v in wavelengths):
-            raise FormatError("wavelengths_nm must hold numbers")
-        try:
-            wl = np.asarray(wavelengths, dtype=np.float64)
-        except OverflowError:
-            raise FormatError("wavelengths_nm must be finite and positive") from None
+        values = tuple(json_float(v, "wavelengths_nm value") for v in wavelengths)
+        wl = np.asarray(values, dtype=np.float64)
         if not np.all(np.isfinite(wl)) or np.any(wl <= 0):
             raise FormatError("wavelengths_nm must be finite and positive")
         # Ties are legal (repeated nearest-band selections); decreasing is not.
@@ -231,7 +204,7 @@ class CubeReader:
         if hasher is not None:
             hasher.update(head)
         self.height, self.width, self.bands = h, w, c
-        self.wavelengths = tuple(float(x) for x in wavelengths)
+        self.wavelengths = values
 
     def strips(self, rows: int | None = None) -> Iterator[HyperCube]:
         """Yield the cube as consecutive strips of `rows` rows (the last may be
@@ -316,14 +289,13 @@ def atomic_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
 def read_mask(stream: bytes) -> LabelMask:
     """Decode an HSM-v1 stream. The labels are a read-only view of `stream`,
     not a copy."""
-    hlen = _header_length(stream[:12], MASK_MAGIC, len(stream))
-    header = _header_object(stream[12 : 12 + hlen])
+    header, head, payload_len = _read_header(io.BytesIO(stream), MASK_MAGIC)
     h, w = _header_dims(header, ("h", "w"), "i16le")
     ignore = header.get("ignore_value", -1)
     if not _is_int(ignore):
         raise FormatError("ignore_value must be an integer")
-    _check_payload(len(stream) - 12 - hlen, h * w * 2)
-    labels = np.frombuffer(stream, dtype="<i2", count=h * w, offset=12 + hlen)
+    _check_payload(payload_len, h * w * 2)
+    labels = np.frombuffer(stream, dtype="<i2", count=h * w, offset=len(head))
     return LabelMask(labels=labels.reshape(h, w), ignore_value=ignore)
 
 
@@ -344,33 +316,11 @@ def read_targets_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
     Returns (sample_ids, parameter_names, N×P float array). Rows keep file
     order; duplicate sample ids, ragged rows, and non-finite cells are errors.
     """
-    try:
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    except csv.Error as e:
-        raise FormatError(f"unreadable targets CSV: {e}") from None
-    if not rows:
-        raise FormatError("empty targets CSV")
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 2 or header[0] != "sample_id":
-        raise FormatError('targets CSV header must be "sample_id,<param>,..."')
-    names = header[1:]
-    if len(rows) < 2:
-        raise FormatError("targets CSV has a header but no data rows")
-    ids: list[str] = []
-    values = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise FormatError(f"targets CSV line {lineno}: ragged row")
-        ids.append(row[0])
-        try:
-            values.append([float(c) for c in row[1:]])
-        except ValueError:
-            raise FormatError(f"targets CSV line {lineno}: non-numeric cell") from None
+    names, ids, table = read_numeric_csv(text, "targets CSV", "sample_id", text_key=True)
     if len(set(ids)) != len(ids):
         counts = Counter(ids)
         dup = next(i for i in ids if counts[i] > 1)  # first in file order
         raise ValidationError(f"duplicate sample_id {dup!r}")
-    table = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(table)):
         raise ValidationError("targets CSV contains non-finite values")
     return ids, names, table

@@ -2,6 +2,9 @@
 
 All wavelengths are nanometers, end to end. Parsers reject tables whose largest
 wavelength is below 100 nm as a probable micron-unit mixup.
+
+The readers of outside documents live here too, one per grammar, and cube_io
+uses them: `read_numeric_csv` for CSV tables, `json_object`/`json_float` for JSON.
 """
 
 from __future__ import annotations
@@ -145,17 +148,83 @@ def srf_evaluate(table: SrfTable, band_index: int, wavelength: float) -> float:
     return float(_sample_srf(table, (band_index,), (wavelength,))[0, 0])
 
 
+def json_object(doc: str | bytes, what: str) -> dict:
+    """Decode an outside JSON document, which must be an object. Bytes must be
+    UTF-8; json.loads would also take UTF-16 and UTF-32."""
+    try:
+        obj = json.loads(doc.decode("utf-8") if isinstance(doc, bytes) else doc)
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or syntax, huge integer, deep nesting
+        raise FormatError(f"{what} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    return obj
+
+
+def json_float(v: object, what: str) -> float:
+    """A JSON number as a float. Bools are not numbers, and an integer beyond
+    the float range is refused rather than rounded to infinity."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise FormatError(f"{what} must be a number")
+    try:
+        return float(v)
+    except OverflowError:
+        raise FormatError(f"{what} is out of range") from None
+
+
+def _loadtxt(lines: list[str], width: int) -> np.ndarray | None:
+    """Comma-joined rows as a len(lines)×width float64 array, or None if a cell is
+    not a number. loadtxt would skip an empty line (a row whose one cell is empty)."""
+    if "" in lines:
+        return None
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(lines), width) else None
+
+
+def read_numeric_csv(
+    text: str, what: str, key: str, text_key: bool = False
+) -> tuple[list[str], list[str], np.ndarray]:
+    """Read a CSV whose header starts with `key`, skipping blank lines; errors name
+    the physical line. A cell is a number exactly when np.loadtxt reads it as float64.
+    Returns the column names after the key, the key cells, and the numeric cells as
+    an N×M array: all columns, or those after the key when `text_key` is set."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [(reader.line_num, r) for r in reader if r]
+    except csv.Error as e:
+        raise FormatError(f"unreadable {what}: {e}") from None
+    if not rows:
+        raise FormatError(f"empty {what}")
+    header = [h.strip() for h in rows[0][1]]
+    if len(header) < 2 or header[0] != key:
+        raise FormatError(f'{what} header must be "{key},<column>,..."')
+    data = rows[1:]
+    if not data:
+        raise FormatError(f"{what} has a header but no data rows")
+    cells = len(header)
+    for n, row in data:
+        if len(row) != cells:
+            raise FormatError(f"{what} line {n}: ragged row, {len(row)} cells, expected {cells}")
+    skip = int(text_key)
+    width = cells - skip
+    lines = [",".join(r[skip:]) for _, r in data]
+    values = _loadtxt(lines, width)
+    if values is None:  # the same conversion, row by row, finds the line to report
+        bad = next(n for (n, _), line in zip(data, lines) if _loadtxt([line], width) is None)
+        raise FormatError(f"{what} line {bad}: non-numeric cell")
+    return header[1:], [r[0] for _, r in data], values
+
+
 def _is_name(v: object) -> bool:
     return isinstance(v, str) and v != ""
 
 
 def parse_sensor_spec(text: str) -> SensorSpec:
     """Parse the JSON sensor-spec document."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:  # bad syntax, huge integer, deep nesting
-        raise FormatError(f"sensor spec is not valid JSON: {e}") from None
-    if not isinstance(doc, dict) or "sensor" not in doc or "bands" not in doc:
+    doc = json_object(text, "sensor spec")
+    if "sensor" not in doc or "bands" not in doc:
         raise FormatError('sensor spec must be an object with "sensor" and "bands" keys')
     if not isinstance(doc["bands"], list) or not doc["bands"]:
         raise ValidationError("sensor spec must list at least one band")
@@ -167,44 +236,17 @@ def parse_sensor_spec(text: str) -> SensorSpec:
             raise FormatError('each band needs "name" and "center_nm"')
         if not _is_name(entry["name"]):
             raise FormatError(f"band {i}: name must be a non-empty string")
-        center = entry["center_nm"]
-        if not isinstance(center, (int, float)) or isinstance(center, bool):
-            raise FormatError(f'band {entry.get("name")!r}: center_nm must be a number')
-        try:
-            center = float(center)
-        except OverflowError:
-            raise FormatError(f'band {entry.get("name")!r}: center_nm is out of range') from None
+        center = json_float(entry["center_nm"], f"band {entry['name']!r}: center_nm")
         bands.append(TargetBand(name=entry["name"], center=center))
     return SensorSpec(sensor_name=doc["sensor"], bands=tuple(bands))
 
 
 def parse_srf_table(text: str, spec: SensorSpec) -> SrfTable:
     """Parse the SRF CSV and align its columns to the spec's band order."""
-    try:
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    except csv.Error as e:
-        raise FormatError(f"unreadable SRF table: {e}") from None
-    if not rows:
-        raise FormatError("empty SRF table")
-    header = [h.strip() for h in rows[0]]
-    if not header or header[0] != "wavelength_nm":
-        raise FormatError('SRF table must start with a "wavelength_nm" column')
-    columns = header[1:]
+    columns, _, data = read_numeric_csv(text, "SRF table", "wavelength_nm")
     missing = [n for n in spec.band_names if n not in columns]
     if missing:
         raise ValidationError(f"SRF table missing column(s) for band(s): {missing}")
-    if len(rows) < 2:
-        raise FormatError("SRF table has a header but no data rows")
-
-    parsed = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise FormatError(f"SRF table line {lineno}: expected {len(header)} cells, got {len(row)}")
-        try:
-            parsed.append([float(c) for c in row])
-        except ValueError:
-            raise FormatError(f"SRF table line {lineno}: non-numeric cell") from None
-    data = np.asarray(parsed, dtype=np.float64)
     col_index = {name: i + 1 for i, name in enumerate(columns)}
     sens = tuple(tuple(data[:, col_index[name]].tolist()) for name in spec.band_names)
     return SrfTable(

@@ -286,6 +286,19 @@ class TestSynthInspect:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        args = ["synth", "random", "--height", "2", "--width", "2", "--output", str(tmp_path / "x.hsc")]
+        with pytest.raises(SystemExit) as e:
+            main(args + ["--seed", "-1"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.hsc").exists()
+        assert main(args + ["--seed", "0", "--bands", "3"]) == 0
+        grid = WavelengthGrid((400.0, 405.0, 410.0))
+        assert (tmp_path / "x.hsc").read_bytes() == write_cube(gen_random_cube(2, 2, grid, seed=0))
+
     def test_unknown_generator_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as e:
             main(["synth", "perlin", "--height", "2", "--width", "2",
