@@ -31,7 +31,6 @@ from .cube_io import (
     atomic_file,
     read_mask,
     read_targets_csv,
-    write_cube,
     write_mask,
 )
 from .errors import FormatError, HsadaptError, ValidationError
@@ -178,6 +177,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             dst = CubeWriter(out, src.height, src.width, out_wavelengths)
             for strip in src.strips():
                 dst.write(adapt(strip))
+                del strip  # so the next strip is decoded while none is held
             out_digest = dst.hexdigest()
 
     inputs = {
@@ -307,11 +307,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         cube = gen_random_cube(args.height, args.width, grid, args.seed)
     out_path = Path(args.output)
-    stream = write_cube(cube)
     with atomic_file(out_path) as f:
-        f.write(stream)
+        dst = CubeWriter(f, cube.height, cube.width, cube.wavelengths)
+        dst.write(cube)  # the whole cube as one strip, written without a copy
+        digest = dst.hexdigest()
     params = {k: v for k, v in vars(args).items() if k not in ("func",)}
-    digest = hashlib.sha256(stream).hexdigest()
     _write_manifest(out_path, digest, "synth", params, {}, {}, started)
     return EXIT_OK
 
@@ -329,9 +329,12 @@ def _cube_report(f: BinaryIO) -> dict:
         x = strip.data.reshape(-1, src.bands)
         np.fmin(lo, np.fmin.reduce(x, axis=0), out=lo)
         np.fmax(hi, np.fmax.reduce(x, axis=0), out=hi)
-        seen = ~np.isnan(x)
-        total += np.add.reduce(x, axis=0, dtype=np.float64, where=seen)
+        seen = np.isnan(x)
+        np.logical_not(seen, out=seen)  # in place: one mask per strip, not two
+        with np.errstate(invalid="ignore"):  # +inf and -inf in a band: its mean is NaN
+            total += np.add.reduce(x, axis=0, dtype=np.float64, where=seen)
         count += np.count_nonzero(seen, axis=0)
+        del strip, x, seen  # so the next strip is decoded while none is held
     return {
         "kind": "cube",
         "h": src.height,
@@ -444,8 +447,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--srf is required when --method srf")
     try:
         return args.func(args)
-    except (HsadaptError, OSError) as e:
-        print(f"hsadapt: error: {e}", file=sys.stderr)
+    except (HsadaptError, OSError, MemoryError) as e:
+        # An input too large for this machine is a data error, like a bad one.
+        print(f"hsadapt: error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -180,6 +180,11 @@ class CubeReader:
     `strips()` then decodes the payload in row strips; every byte read is fed
     to `hasher`, so after the last strip it holds the digest of the whole
     stream.
+
+    The reader keeps no reference to a strip once it has yielded it. A
+    consumer that drops each strip (and every view of it) before asking for
+    the next therefore holds one strip at a time; one that keeps its loop
+    variable bound holds two while the next is decoded.
     """
 
     def __init__(self, f: BinaryIO, allow_non_finite: bool = False, hasher=None):
@@ -212,18 +217,22 @@ class CubeReader:
         if rows is None:
             rows = max(1, STRIP_BYTES // (self.width * self.bands * 4))
         for r0 in range(0, self.height, rows):
-            data = np.empty((min(rows, self.height - r0), self.width, self.bands), dtype="<f4")
-            buf = _bytes_of(data)
-            got = self._f.readinto(buf)
-            if got != len(buf):
-                raise FormatError(f"payload ended early: expected {len(buf)} bytes, got {got}")
-            if self._hasher is not None:
-                self._hasher.update(buf)
-            if not self._allow_non_finite and not np.all(np.isfinite(data)):
-                raise ValidationError(
-                    "cube contains non-finite values (pass allow_non_finite to accept)"
-                )
-            yield HyperCube(data=data, wavelengths=self.wavelengths)
+            # Decoded in a helper, so this frame holds nothing across the yield.
+            yield self._read_strip(min(rows, self.height - r0))
+
+    def _read_strip(self, rows: int) -> HyperCube:
+        data = np.empty((rows, self.width, self.bands), dtype="<f4")
+        buf = _bytes_of(data)
+        got = self._f.readinto(buf)
+        if got != len(buf):
+            raise FormatError(f"payload ended early: expected {len(buf)} bytes, got {got}")
+        if self._hasher is not None:
+            self._hasher.update(buf)
+        if not self._allow_non_finite and not np.all(np.isfinite(data)):
+            raise ValidationError(
+                "cube contains non-finite values (pass allow_non_finite to accept)"
+            )
+        return HyperCube(data=data, wavelengths=self.wavelengths)
 
 
 def read_cube(stream: bytes, allow_non_finite: bool = False) -> HyperCube:

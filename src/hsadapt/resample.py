@@ -128,10 +128,13 @@ def resample_cube(
         # to a sum that starts at +0.0 when x is finite.
         acc = np.zeros((w.n_targets, x.shape[1]), dtype=np.float64)
         term = np.empty(x.shape[1], dtype=np.float64)
-        for k, (js, ws) in enumerate(terms):
-            for j, wjk in zip(js, ws):
-                np.multiply(x[j], wjk, out=term)
-                acc[k] += term
+        # Under allow_nan, +inf and -inf in one band's support sum to NaN: a
+        # result, not a fault. errstate is per thread, so it is set in the tile's.
+        with np.errstate(invalid="ignore"):
+            for k, (js, ws) in enumerate(terms):
+                for j, wjk in zip(js, ws):
+                    np.multiply(x[j], wjk, out=term)
+                    acc[k] += term
         return acc
 
     def run_tile(r0: int, c0: int) -> None:

@@ -200,6 +200,11 @@ def read_numeric_csv(
     header = [h.strip() for h in rows[0][1]]
     if len(header) < 2 or header[0] != key:
         raise FormatError(f'{what} header must be "{key},<column>,..."')
+    named = set()
+    for name in header:
+        if name in named:
+            raise FormatError(f"{what} header repeats column {name!r}")
+        named.add(name)
     data = rows[1:]
     if not data:
         raise FormatError(f"{what} has a header but no data rows")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 
 import hsadapt.cli
 from hsadapt.cli import _paired_masks, main
-from hsadapt.cube_io import LabelMask, read_cube, write_cube, write_mask
+from hsadapt.cube_io import HyperCube, LabelMask, read_cube, write_cube, write_mask
 from hsadapt.synth import gen_random_cube
 from hsadapt.spectral import WavelengthGrid
 
@@ -299,6 +300,38 @@ class TestSynthInspect:
         grid = WavelengthGrid((400.0, 405.0, 410.0))
         assert (tmp_path / "x.hsc").read_bytes() == write_cube(gen_random_cube(2, 2, grid, seed=0))
 
+    def test_random_cube_is_written_without_copies(self, tmp_path):
+        out = tmp_path / "x.hsc"
+        payload = 64 * 64 * 202 * 4
+        tracemalloc.start()
+        try:
+            assert main(["synth", "random", "--height", "64", "--width", "64",
+                         "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload, f"peak {peak / payload:.2f}x the payload"
+        stream = out.read_bytes()
+        grid = WavelengthGrid(tuple(400.0 + 5.0 * i for i in range(202)))
+        assert stream == write_cube(gen_random_cube(64, 64, grid, seed=0))
+        manifest = json.loads((tmp_path / "x.hsc.manifest.json").read_text())
+        assert manifest["output_digests"] == {str(out): hashlib.sha256(stream).hexdigest()}
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 74.3 TiB for an array", "Unable to allocate 74.3 TiB for an array"),
+        ("", "out of memory"),
+    ])
+    def test_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch, message, shown):
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("hsadapt.synth.gen_random_cube", exhausted)
+        rc = main(["synth", "random", "--height", "100000", "--width", "100000",
+                   "--output", str(tmp_path / "x.hsc")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"hsadapt: error: {shown}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_generator_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as e:
             main(["synth", "perlin", "--height", "2", "--width", "2",
@@ -309,6 +342,17 @@ class TestSynthInspect:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\x00\x01\x02garbage")
         assert main(["inspect", str(bad)]) == 1
+
+    def test_inspect_band_with_opposite_infinities_has_nan_mean(self, tmp_path, capsys):
+        data = np.full((1, 2, 2), 0.5, dtype=np.float32)
+        data[0, :, 1] = (np.inf, -np.inf)
+        path = tmp_path / "inf.hsc"
+        path.write_bytes(write_cube(HyperCube(data=data, wavelengths=(500.0, 510.0))))
+        assert main(["inspect", str(path)]) == 0  # a RuntimeWarning would be an error here
+        first, second = json.loads(capsys.readouterr().out)["per_band"]
+        assert first["mean"] == np.float32(0.5)
+        assert (second["min"], second["max"]) == (-np.inf, np.inf)
+        assert np.isnan(second["mean"])
 
     def test_inspect_mask(self, tmp_path, capsys):
         path = tmp_path / "m.hsm"

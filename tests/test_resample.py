@@ -201,6 +201,22 @@ class TestResampleCube:
         assert out.data[0, 0, 0] == np.float32(0.5)
         assert out.data[0, 0, 1] == np.inf
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_opposite_infinities_sum_to_nan_without_a_warning(self, threads):
+        grid_vals = (490.0, 500.0, 510.0, 900.0)
+        cols = [("B1", [0.5, 1.0, 0.5, 0.0]), ("B9", [0.0, 0.0, 0.0, 1.0])]
+        w = build_weight_matrix(
+            WavelengthGrid(grid_vals), table_for(cols, list(grid_vals)),
+            sensor(("B1", 500.0), ("B9", 900.0)),
+        )
+        data = np.full((1, 2, 4), 0.5, dtype=np.float32)
+        data[:, :, 0], data[:, :, 2] = np.inf, -np.inf  # both supported by B1
+        # The test configuration turns a RuntimeWarning into an error.
+        out = resample_cube(HyperCube(data=data, wavelengths=grid_vals), w,
+                            tile=1, threads=threads, allow_nan=True)
+        assert np.all(np.isnan(out.data[:, :, 0]))
+        assert np.all(out.data[:, :, 1] == np.float32(0.5))
+
 
 class TestWeightSummary:
     def test_one_hot_column(self):

@@ -167,6 +167,23 @@ def test_peak_memory_is_bounded_by_a_strip(tmp_path, monkeypatch, method):
     assert peak < size / 2, f"peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB input"
 
 
+@pytest.mark.parametrize("method", ["naive", "inspect"])
+def test_one_input_strip_is_held_at_a_time(tmp_path, monkeypatch, method):
+    """A 1 MiB strip setting: holding two input strips at once would peak near
+    2.2 MiB; one strip, its adapted output and the small inputs stay below 1.75."""
+    monkeypatch.setattr(cube_io, "STRIP_BYTES", 1 << 20)
+    src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
+    src.write_bytes(write_cube(gen_random_cube(96, 96, GRID, seed=4)))
+    argv = ["inspect", str(src)] if method == "inspect" else adapt_argv(method, src, out)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
+
+
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
 def test_pipe_input_is_data_error(tmp_path, capsys):
     raw = write_cube(gen_random_cube(2, 2, GRID, seed=5))

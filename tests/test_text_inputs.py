@@ -1,5 +1,6 @@
-"""The outside text inputs: the CSV number grammar both CSV readers share, and
-mutation fuzzing of every reader that takes a file from outside."""
+"""The outside text inputs: the CSV number grammar both CSV readers share,
+mutation fuzzing of every reader that takes a file from outside, and payload
+mutants through every command that computes on a cube or mask payload."""
 
 import contextlib
 import io
@@ -89,6 +90,19 @@ def test_configs_srf_table_reads_as_float_does():
     table = parse_srf_table(text, spec)
     assert table.grid == tuple(float(r[0]) for r in rows)
     assert table.sensitivities == (tuple(float(r[2]) for r in rows),)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (read_targets_csv, "sample_id,K,K\na,1,2\n"),
+        (lambda t: parse_srf_table(t, SPEC_B1), "wavelength_nm,B1,B1\n490,0.5,0.1\n510,0.5,0.2\n"),
+    ],
+    ids=["targets", "srf"],
+)
+def test_repeated_column_name_is_format_error(parse, text):
+    with pytest.raises(FormatError, match="header repeats column '(K|B1)'"):
+        parse(text)
 
 
 @pytest.mark.parametrize("utf", ["utf-16", "utf-32"])
@@ -192,6 +206,7 @@ CASES = {
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     (d / "spec.json").write_text(SPEC_TEXT)
+    (d / "srf.csv").write_text(SRF_TEXT)
     (d / "targets.csv").write_text(TARGETS_TEXT)
     (d / "cube.hsc").write_bytes(CUBE_STREAM)
     for side in ("pred", "truth"):
@@ -227,3 +242,60 @@ def test_mutated_input_is_a_value_or_a_data_error(workdir, name, data):
         mutant.write_bytes(base)
     assert rc in (0, 1)
     assert rc == 0 or err.getvalue().startswith("hsadapt: error:")
+
+
+# ---------------------------------------------------------------- payload mutants
+
+SPECIAL_F32 = [np.nan, np.inf, -np.inf, 1e-45, -1e-40, 3e38, -3e38]
+
+
+@st.composite
+def payload_mutants(draw, base: bytes):
+    """`base` with its header intact: a few 4-byte payload slots overwritten
+    with special float32 values, then the stream cut or extended by a few bytes."""
+    data = bytearray(base)
+    start = header_span(base)
+    slots = st.integers(0, (len(base) - start) // 4 - 1)
+    for _ in range(draw(st.integers(0, 4))):
+        at = start + 4 * draw(slots)
+        data[at:at + 4] = struct.pack("<f", draw(st.sampled_from(SPECIAL_F32)))
+    change = draw(st.one_of(st.just(0), st.integers(-7, 7)))  # the length kept half the time
+    if change < 0:
+        del data[change:]
+    else:
+        data += draw(st.binary(min_size=change, max_size=change))
+    return bytes(data)
+
+
+ADAPT = "adapt --sensor {d}/spec.json --input {m} --output {d}/o.hsc --method "
+PAYLOAD_CASES = {
+    "srf": ADAPT + "srf --srf {d}/srf.csv",
+    "srf-allow-nan": ADAPT + "srf --srf {d}/srf.csv --allow-nan",
+    "naive": ADAPT + "naive",
+    "inspect": "inspect {m}",
+    "seg": "metrics seg --pred-dir {d}/pred --truth-dir {d}/truth --classes 2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_payload_mutant_exits_0_or_1(workdir, name, data):
+    if name == "seg":
+        base = MASK_STREAM
+        mutant = workdir / data.draw(st.sampled_from(["pred", "truth"])) / "chip.hsm"
+    else:
+        base, mutant = CUBE_STREAM, workdir / "mutant"
+    mutant.write_bytes(data.draw(payload_mutants(base)))
+    (workdir / "o.hsc").unlink(missing_ok=True)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(PAYLOAD_CASES[name].format(m=mutant, d=workdir).split())
+    finally:
+        mutant.write_bytes(base)
+    assert rc in (0, 1)
+    assert rc == 0 or err.getvalue().startswith("hsadapt: error:")
+    if name == "srf" and rc == 0:
+        out = read_cube((workdir / "o.hsc").read_bytes(), allow_non_finite=True)
+        assert np.all(np.isfinite(out.data))
