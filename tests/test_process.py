@@ -45,7 +45,9 @@ def srf_argv(chip: Path) -> list[str]:
 
 
 # Modules that `adapt --method srf` does not run; each costs import time.
-UNUSED_BY_SRF = ("hsadapt.synth", "hsadapt.band_select", "concurrent.futures", "fractions")
+UNUSED_BY_SRF = (
+    "hsadapt.synth", "hsadapt.band_select", "hsadapt.metrics", "concurrent.futures", "fractions",
+)
 
 
 def test_srf_adapt_imports_only_what_it_runs(chip):

@@ -167,7 +167,12 @@ def test_peak_memory_is_bounded_by_a_strip(tmp_path, monkeypatch, method):
     assert peak < size / 2, f"peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB input"
 
 
-@pytest.mark.parametrize("method", ["naive", "inspect"])
+# Peak bound in MiB per command. srf also holds a tile's float64 copy and the
+# weight matrix, but not the parsed SRF table, while the strips run.
+ONE_STRIP_PEAK_MIB = {"naive": 1.75, "inspect": 1.75, "srf": 2.9}
+
+
+@pytest.mark.parametrize("method", sorted(ONE_STRIP_PEAK_MIB))
 def test_one_input_strip_is_held_at_a_time(tmp_path, monkeypatch, method):
     """A 1 MiB strip setting: holding two input strips at once would peak near
     2.2 MiB; one strip, its adapted output and the small inputs stay below 1.75."""
@@ -181,7 +186,7 @@ def test_one_input_strip_is_held_at_a_time(tmp_path, monkeypatch, method):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.75 * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
+    assert peak < ONE_STRIP_PEAK_MIB[method] * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
 
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")

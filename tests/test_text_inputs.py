@@ -246,7 +246,12 @@ def test_mutated_input_is_a_value_or_a_data_error(workdir, name, data):
 
 # ---------------------------------------------------------------- payload mutants
 
-SPECIAL_F32 = [np.nan, np.inf, -np.inf, 1e-45, -1e-40, 3e38, -3e38]
+# Little-endian float32 bit patterns: quiet NaN (canonical, negative, with a
+# payload), signalling NaN, ±inf, subnormals and values near the float32 limit.
+SPECIAL_F32 = [
+    struct.pack("<I", bits)
+    for bits in (0x7FC00000, 0xFFC00000, 0x7FC00001, 0x7FA00001, 0x7F800000, 0xFF800000)
+] + [struct.pack("<f", x) for x in (1e-45, -1e-40, 3e38, -3e38)]
 
 
 @st.composite
@@ -258,7 +263,7 @@ def payload_mutants(draw, base: bytes):
     slots = st.integers(0, (len(base) - start) // 4 - 1)
     for _ in range(draw(st.integers(0, 4))):
         at = start + 4 * draw(slots)
-        data[at:at + 4] = struct.pack("<f", draw(st.sampled_from(SPECIAL_F32)))
+        data[at:at + 4] = draw(st.sampled_from(SPECIAL_F32))
     change = draw(st.one_of(st.just(0), st.integers(-7, 7)))  # the length kept half the time
     if change < 0:
         del data[change:]
