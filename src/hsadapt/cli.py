@@ -394,8 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--input", required=True, help="input HSC cube")
     p_adapt.add_argument("--output", required=True, help="output HSC cube")
     p_adapt.add_argument("--srf", help="SRF table CSV (required for --method srf)")
-    p_adapt.add_argument("--threads", type=_positive_int, default=None)
-    p_adapt.add_argument("--tile", type=_positive_int, default=64)
+    p_adapt.add_argument(
+        "--threads", type=_positive_int, help="srf kernel threads (default: $HSADAPT_THREADS or 1)"
+    )
+    p_adapt.add_argument(
+        "--tile", type=_positive_int, default=64, help="srf kernel block: runs of TILE*TILE pixels"
+    )
     p_adapt.add_argument("--allow-nan", action="store_true")
     p_adapt.set_defaults(func=cmd_adapt)
 

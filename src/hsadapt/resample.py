@@ -1,6 +1,6 @@
 """SRF-based spectral resampling: build a column-normalized weight matrix from
 tabulated response functions and apply it as a per-pixel spectral dot product,
-tiled over pixel blocks for throughput."""
+reading each strip in place in runs of consecutive pixels."""
 
 from __future__ import annotations
 
@@ -82,9 +82,9 @@ def build_weight_matrix(grid: WavelengthGrid, table: SrfTable, spec: SensorSpec)
     )
 
 
-def _pool_size(threads: int, n_tiles: int) -> int:
-    """Tile-pool workers: the requested count, capped by the tiles and the CPUs."""
-    return min(threads, n_tiles, os.cpu_count() or 1)
+def _pool_size(threads: int, n_runs: int) -> int:
+    """Kernel-pool workers: the requested count, capped by the pixel runs and the CPUs."""
+    return min(threads, n_runs, os.cpu_count() or 1)
 
 
 def resample_cube(
@@ -111,52 +111,46 @@ def resample_cube(
     if not allow_nan and not np.all(np.isfinite(cube.data)):
         raise ValidationError("cube contains non-finite values (pass allow_nan to accept)")
 
-    h, width = cube.height, cube.width
-    out = np.empty((h, width, w.n_targets), dtype=np.float32)
-    # Per target band: its supported input indices in ascending order, and their weights.
-    terms = [
-        (np.flatnonzero(col).tolist(), col[col > 0.0].tolist()) for col in w.weights.T
-    ]
+    pixels = cube.data.reshape(-1, w.n_inputs)  # a view of a C-contiguous strip
+    out = np.empty((cube.height, cube.width, w.n_targets), dtype=np.float32)
+    # Per input band that some target reads, in ascending order: (target, weight) pairs.
+    nonzero = [np.flatnonzero(row).tolist() for row in w.weights]
+    reads = [(j, [(k, float(w.weights[j, k])) for k in ks]) for j, ks in enumerate(nonzero) if ks]
 
-    def run_tile(r0: int, c0: int) -> None:
-        r1 = min(r0 + tile, h)
-        c1 = min(c0 + tile, width)
-        # Fixed-order accumulation: each pixel of band k sums x[j]*w[j, k] over
-        # the band's supported j in ascending order whatever the tile shape, so
-        # output bytes never depend on tiling or thread count (BLAS gemm would
-        # not guarantee that). An unsupported band is never read, so NaN or
-        # infinity there reaches no output; in a supported band it makes the
-        # sum NaN or infinite by plain IEEE arithmetic. errstate is per thread,
-        # so it is set in the tile's: under allow_nan a signalling NaN in the
-        # cast and +inf meeting -inf in a sum are results, not faults.
+    def run_block(p0: int) -> None:
+        x = pixels[p0 : p0 + tile * tile]  # a run may cross the end of a row
+        # Each pixel of band k sums x[j]*w[j, k] over its supported j in ascending
+        # order whatever the run length or thread count, so output bytes never
+        # change (BLAS gemm would not fix the order). An unsupported band is never
+        # read; NaN or infinity in a supported one propagates by IEEE arithmetic.
+        # errstate is per thread: under allow_nan a signalling NaN in the cast and
+        # +inf meeting -inf in a sum are results, not faults.
         with np.errstate(invalid="ignore"):
-            # Band-major float64 copy of the block: row j holds input band j of every pixel.
-            x = np.ascontiguousarray(
-                cube.data[r0:r1, c0:c1, :].transpose(2, 0, 1), dtype=np.float64
-            ).reshape(w.n_inputs, -1)
-            acc = np.zeros((w.n_targets, x.shape[1]), dtype=np.float64)
-            term = np.empty(x.shape[1], dtype=np.float64)
-            for k, (js, ws) in enumerate(terms):
-                for j, wjk in zip(js, ws):
-                    np.multiply(x[j], wjk, out=term)
+            acc = np.zeros((w.n_targets, x.shape[0]), dtype=np.float64)
+            band = np.empty(x.shape[0], dtype=np.float64)
+            term = np.empty(x.shape[0], dtype=np.float64)
+            for j, targets in reads:
+                band[:] = x[:, j]  # input band j of every pixel, widened once
+                for k, wjk in targets:
+                    np.multiply(band, wjk, out=term)
                     acc[k] += term
         if allow_nan:
             # One NaN bit pattern out, 0x7FC00000, whatever the input NaN's
             # sign or payload and whatever NaN the CPU makes of inf - inf.
             acc[np.isnan(acc)] = np.nan
-        out[r0:r1, c0:c1, :] = acc.reshape(w.n_targets, r1 - r0, c1 - c0).transpose(1, 2, 0)
+        out.reshape(-1, w.n_targets)[p0 : p0 + x.shape[0]] = acc.T
 
-    coords = [(r, c) for r in range(0, h, tile) for c in range(0, width, tile)]
-    workers = _pool_size(threads, len(coords))
+    starts = range(0, pixels.shape[0], tile * tile)
+    workers = _pool_size(threads, len(starts))
     if workers == 1:
-        for r, c in coords:
-            run_tile(r, c)
+        for p0 in starts:
+            run_block(p0)
     else:
         # Imported only here: concurrent.futures pulls in logging and queue.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda rc: run_tile(*rc), coords))
+            list(pool.map(run_block, starts))
 
     return HyperCube(data=out, wavelengths=w.band_centers)
 
@@ -167,14 +161,14 @@ def weight_summary(w: WeightMatrix) -> dict:
     lam = np.asarray(w.source_wavelengths, dtype=np.float64)
     spacing = float(np.median(np.diff(lam))) if lam.size > 1 else 0.0
     bands = []
-    for k, name in enumerate(w.band_names):
+    for k, (name, count) in enumerate(zip(w.band_names, w.support_counts)):
         col = w.weights[:, k]
         eff = float(1.0 / np.sum(col * col))
         bands.append(
             {
                 "name": name,
                 "center_nm": w.band_centers[k],
-                "support_count": w.support_counts[k],
+                "support_count": count,
                 "effective_width_bands": eff,
                 "effective_width_nm": eff * spacing,
                 "weighted_mean_wavelength_nm": float(np.dot(col, lam)),

@@ -167,9 +167,10 @@ def test_peak_memory_is_bounded_by_a_strip(tmp_path, monkeypatch, method):
     assert peak < size / 2, f"peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB input"
 
 
-# Peak bound in MiB per command. srf also holds a tile's float64 copy and the
-# weight matrix, but not the parsed SRF table, while the strips run.
-ONE_STRIP_PEAK_MIB = {"naive": 1.75, "inspect": 1.75, "srf": 2.9}
+# Peak bound in MiB per command. srf reads each strip in place; it also holds
+# the weight matrix and one block's float64 sums, but not the parsed SRF table
+# or a float64 copy of the strip, while the strips run.
+ONE_STRIP_PEAK_MIB = {"naive": 1.75, "inspect": 1.75, "srf": 2.0}
 
 
 @pytest.mark.parametrize("method", sorted(ONE_STRIP_PEAK_MIB))
@@ -187,6 +188,23 @@ def test_one_input_strip_is_held_at_a_time(tmp_path, monkeypatch, method):
     finally:
         tracemalloc.stop()
     assert peak < ONE_STRIP_PEAK_MIB[method] * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
+
+
+@pytest.mark.parametrize("allow_nan", [False, True])
+def test_srf_kernel_reads_the_strip_in_place(allow_nan):
+    """The kernel widens one input band of one block at a time, so it never
+    holds a float64 or band-major copy of the strip: its own peak stays below
+    half the strip's bytes."""
+    spec = parse_sensor_spec(SENSOR.read_text())
+    w = build_weight_matrix(GRID, parse_srf_table(SRF.read_text(), spec), spec)
+    strip = gen_random_cube(64, 64, GRID, seed=6)  # 3.16 MiB
+    tracemalloc.start()
+    try:
+        resample_cube(strip, w, allow_nan=allow_nan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < strip.data.nbytes / 2, f"peak {peak / (1 << 20):.2f} MiB"
 
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
