@@ -9,6 +9,11 @@ Exit codes: 0 success, 1 data/validation error, 2 usage error.
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # `python -m hsadapt.cli`: before numpy loads
+    from .entry import single_blas_thread
+
+    single_blas_thread()
+
 import argparse
 import gc
 import hashlib

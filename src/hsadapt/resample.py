@@ -83,8 +83,14 @@ def build_weight_matrix(grid: WavelengthGrid, table: SrfTable, spec: SensorSpec)
 
 
 def _pool_size(threads: int, n_runs: int) -> int:
-    """Kernel-pool workers: the requested count, capped by the pixel runs and the CPUs."""
-    return min(threads, n_runs, os.cpu_count() or 1)
+    """Kernel-pool workers: the requested count, capped by the pixel runs and
+    the CPUs this process may run on. That is its affinity set where the
+    platform has one, since taskset or a container's cpuset may shrink it."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(threads, n_runs, cpus)
 
 
 def resample_cube(
@@ -108,8 +114,6 @@ def resample_cube(
         raise ValidationError("tile size must be >= 1")
     if threads < 1:
         raise ValidationError("thread count must be >= 1")
-    if not allow_nan and not np.all(np.isfinite(cube.data)):
-        raise ValidationError("cube contains non-finite values (pass allow_nan to accept)")
 
     pixels = cube.data.reshape(-1, w.n_inputs)  # a view of a C-contiguous strip
     out = np.empty((cube.height, cube.width, w.n_targets), dtype=np.float32)
@@ -119,6 +123,9 @@ def resample_cube(
 
     def run_block(p0: int) -> None:
         x = pixels[p0 : p0 + tile * tile]  # a run may cross the end of a row
+        # Checked a run at a time, so the check's mask is a run's, not the strip's.
+        if not allow_nan and not np.all(np.isfinite(x)):
+            raise ValidationError("cube contains non-finite values (pass allow_nan to accept)")
         # Each pixel of band k sums x[j]*w[j, k] over its supported j in ascending
         # order whatever the run length or thread count, so output bytes never
         # change (BLAS gemm would not fix the order). An unsupported band is never

@@ -147,6 +147,7 @@ def test_resample_equals_dense_fixed_order_loop(case, tile, threads):
 
 
 def test_pool_size_is_capped_by_tiles_and_cpus(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # cpu_count() decides
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert _pool_size(1, 16) == 1
     assert _pool_size(2, 16) == 2
@@ -154,6 +155,16 @@ def test_pool_size_is_capped_by_tiles_and_cpus(monkeypatch):
     assert _pool_size(64, 3) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool_size(8, 16) == 1
+
+
+def test_pool_size_is_capped_by_the_cpus_this_process_may_use(monkeypatch):
+    """Under taskset or a container's cpuset, the affinity set, not the host's
+    CPU count, bounds the pool."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _pool_size(4, 10) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert _pool_size(64, 16) == 2
 
 
 def masked_confusion(p, t, n_classes, ignore_value):

@@ -1,5 +1,5 @@
-"""The CLI as a process: which modules a command loads, and what `run()`, the
-process entry point, hands back to the shell."""
+"""The CLI as a process: which modules a command loads, what `run()`, the
+process entry point, hands back to the shell, and which threads it starts."""
 
 import gc
 import json
@@ -22,11 +22,15 @@ SENSOR = str(REPO / "configs" / "sentinel2_l2a_12band.json")
 SRF = str(REPO / "configs" / "sentinel2_l2a_gaussian_srf.csv")
 
 
-def python(*args: str, **kwargs) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports hsadapt from this checkout."""
+def python(*args: str, blas_threads: str | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports hsadapt from this checkout, with
+    OPENBLAS_NUM_THREADS set to `blas_threads` or unset."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     env.pop("HSADAPT_THREADS", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120, **kwargs)
 
@@ -132,4 +136,49 @@ def test_main_never_freezes(tmp_path, chip, capsys):
 def test_console_script_is_run():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    assert project["scripts"] == {"hsadapt": "hsadapt.cli:run"}
+    assert project["scripts"] == {"hsadapt": "hsadapt.entry:run"}
+
+
+needs_task_list = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                     reason="needs /proc/self/task")
+
+
+def threads_after(entry: str, blas_threads: str | None = None) -> list:
+    """Run `entry` as `hsadapt --version` in a fresh process; return the
+    process's thread count and OPENBLAS_NUM_THREADS after it."""
+    code = (
+        "import json, os, sys\n"
+        "sys.argv = ['hsadapt', '--version']\n"
+        "try:\n"
+        f"    {entry}\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(json.dumps([len(os.listdir('/proc/self/task')), "
+        "os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    p = python("-c", code, blas_threads=blas_threads)
+    assert p.returncode == 0, p.stderr
+    return json.loads(p.stdout.splitlines()[-1])
+
+
+RUN_AS_MAIN = "import runpy; runpy.run_module('hsadapt.cli', run_name='__main__')"
+CONSOLE_SCRIPT = "from hsadapt.entry import run; run()"
+
+
+@needs_task_list
+@pytest.mark.parametrize("entry", [RUN_AS_MAIN, CONSOLE_SCRIPT], ids=["module", "console-script"])
+def test_cli_process_starts_no_blas_pool(entry):
+    """Each entry asks OpenBLAS for one thread before numpy loads, so the
+    process ends with its main thread alone. Without that, numpy's import
+    leaves two threads on a 2-CPU machine."""
+    assert threads_after(entry) == [1, "1"]
+
+
+@needs_task_list
+def test_a_blas_thread_count_the_caller_set_wins():
+    assert threads_after(RUN_AS_MAIN, blas_threads="2")[1] == "2"
+
+
+@needs_task_list
+def test_library_import_leaves_the_environment_alone():
+    assert threads_after("import hsadapt.cli")[1] is None

@@ -6,6 +6,7 @@ leave an existing output untouched, and memory must stay near one strip.
 import hashlib
 import io
 import json
+import math
 import os
 import tracemalloc
 import warnings
@@ -112,8 +113,13 @@ def test_failed_run_leaves_existing_output_untouched(tmp_path, small_strips, met
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == before
 
 
+SRF_CHECK_TILE = 3  # runs of 9 pixels: each 45-pixel strip takes five checks
+
+
 @pytest.mark.parametrize("method", ["naive", "srf"])
 def test_each_strip_is_checked_for_finiteness_once(tmp_path, small_strips, monkeypatch, method):
+    """Every input value is checked once. naive checks each strip as it is
+    read; srf checks each pixel run in the kernel, never more than a run."""
     src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
     src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=7)))
     checked = []
@@ -124,9 +130,16 @@ def test_each_strip_is_checked_for_finiteness_once(tmp_path, small_strips, monke
         return isfinite(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", counting)
-    assert main(adapt_argv(method, src, out)) == 0
-    strips = [(rows, W, len(GRID)) for rows in (5, 5, 5, 5, 3)]
-    assert sorted(s for s in checked if len(s) == 3) == sorted(strips)
+    flags = ["--tile", str(SRF_CHECK_TILE)] if method == "srf" else []
+    assert main(adapt_argv(method, src, out, *flags)) == 0
+    if method == "naive":
+        strips = [(rows, W, len(GRID)) for rows in (5, 5, 5, 5, 3)]
+        assert sorted(s for s in checked if len(s) == 3) == sorted(strips)
+        return
+    # Checks of pixel data: at least 2-D, with the band axis last.
+    cube_checks = [s for s in checked if len(s) >= 2 and s[-1] == len(GRID)]
+    assert sum(math.prod(s) for s in cube_checks) == H * W * len(GRID)
+    assert max(math.prod(s[:-1]) for s in cube_checks) <= SRF_CHECK_TILE**2
 
 
 def test_inspect_folds_strips_like_whole_array_reductions(tmp_path, small_strips, capsys):
@@ -205,6 +218,22 @@ def test_srf_kernel_reads_the_strip_in_place(allow_nan):
     finally:
         tracemalloc.stop()
     assert peak < strip.data.nbytes / 2, f"peak {peak / (1 << 20):.2f} MiB"
+
+
+def test_srf_finiteness_check_holds_a_run_not_the_strip():
+    """Checking a whole 128×128×202 strip builds a 3.16 MiB boolean mask, the
+    kernel's largest allocation; checked a pixel run at a time, the kernel's
+    own peak stays below 2 MiB."""
+    spec = parse_sensor_spec(SENSOR.read_text())
+    w = build_weight_matrix(GRID, parse_srf_table(SRF.read_text(), spec), spec)
+    strip = gen_random_cube(128, 128, GRID, seed=8)  # 12.6 MiB
+    tracemalloc.start()
+    try:
+        resample_cube(strip, w, allow_nan=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
 
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
