@@ -6,16 +6,20 @@ little-endian payload whose size is fully determined by the header.
 
 Cubes are decoded and encoded in row strips (`CubeReader`, `CubeWriter`), so
 `hsadapt adapt` never holds a whole scene; `read_cube` is the one-strip case.
+A reader given a hasher feeds it on one worker thread, so the input digest
+overlaps the reading and the adaptation of the strips.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import struct
+import threading
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -103,6 +107,7 @@ class LabelMask:
 
 
 STRIP_BYTES = 16 * 1024 * 1024  # payload bytes per decoded row strip
+CHUNK_BYTES = 1024 * 1024  # payload bytes per read, each handed to the digest worker as it lands
 
 
 def _is_int(v: object) -> bool:
@@ -172,6 +177,54 @@ def _bytes_of(a: np.ndarray) -> memoryview:
     return memoryview(a).cast("B")
 
 
+class _DigestWorker:
+    """Feeds `hasher` on one thread, in the order `feed` is called.
+
+    `feed` hands over a view, not a copy, so the caller must not reuse or free
+    its buffer before the next `sync`, which returns once every piece fed so
+    far has been hashed and the worker holds none of them. An exception from
+    `hasher.update` stops the hashing and is raised by that `sync`.
+    """
+
+    _SYNC, _STOP = object(), object()
+
+    def __init__(self, hasher):
+        # What queue.SimpleQueue re-exports, without importing queue; only a
+        # hashed read loads it (see "Process cost" in the README).
+        from _queue import SimpleQueue
+
+        self._todo = SimpleQueue()
+        self._done = SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._run, args=(hasher,), name="hsadapt-digest", daemon=True
+        )
+        self._thread.start()
+
+    def _run(self, hasher) -> None:
+        error = None
+        for piece in iter(self._todo.get, self._STOP):
+            if piece is self._SYNC:
+                self._done.put(error)
+            elif error is None:
+                try:
+                    hasher.update(piece)
+                except BaseException as e:  # raised on the reader's thread by sync()
+                    error = e
+
+    def feed(self, piece) -> None:
+        self._todo.put(piece)
+
+    def sync(self) -> None:
+        self._todo.put(self._SYNC)
+        error = self._done.get()
+        if error is not None:
+            raise error
+
+    def stop(self) -> None:
+        self._todo.put(self._STOP)
+        self._thread.join()
+
+
 class CubeReader:
     """Decoder for an HSC-v1 stream.
 
@@ -179,9 +232,11 @@ class CubeReader:
     against the stream size, so a bad file fails before any data is read.
     `strips()` then decodes the payload in row strips; every byte read is fed
     to `hasher`, so after the last strip it holds the digest of the whole
-    stream.
+    stream. The payload is hashed on one worker thread, which `strips()`
+    starts at the first strip and joins when it ends, however it ends.
 
-    The reader keeps no reference to a strip once it has yielded it. A
+    The reader keeps no reference to a strip once it has yielded it, and it
+    waits for the worker to finish a strip before it decodes the next. A
     consumer that drops each strip (and every view of it) before asking for
     the next therefore holds one strip at a time; one that keeps its loop
     variable bound holds two while the next is decoded.
@@ -216,18 +271,28 @@ class CubeReader:
         shorter); by default as many rows as fit in STRIP_BYTES, at least one."""
         if rows is None:
             rows = max(1, STRIP_BYTES // (self.width * self.bands * 4))
-        for r0 in range(0, self.height, rows):
-            # Decoded in a helper, so this frame holds nothing across the yield.
-            yield self._read_strip(min(rows, self.height - r0))
+        digest = None if self._hasher is None else _DigestWorker(self._hasher)
+        try:
+            for r0 in range(0, self.height, rows):
+                # Decoded in a helper, so this frame holds nothing across the yield.
+                yield self._read_strip(min(rows, self.height - r0), digest)
+                if digest is not None:
+                    digest.sync()  # the strip is hashed before the next is allocated
+        finally:
+            if digest is not None:
+                digest.stop()
 
-    def _read_strip(self, rows: int) -> HyperCube:
+    def _read_strip(self, rows: int, digest: _DigestWorker | None) -> HyperCube:
         data = np.empty((rows, self.width, self.bands), dtype="<f4")
         buf = _bytes_of(data)
-        got = self._f.readinto(buf)
-        if got != len(buf):
-            raise FormatError(f"payload ended early: expected {len(buf)} bytes, got {got}")
-        if self._hasher is not None:
-            self._hasher.update(buf)
+        got = 0
+        while got < len(buf):
+            n = self._f.readinto(buf[got : got + CHUNK_BYTES])
+            if not n:
+                raise FormatError(f"payload ended early: expected {len(buf)} bytes, got {got}")
+            if digest is not None:
+                digest.feed(buf[got : got + n])
+            got += n
         if not self._allow_non_finite and not np.all(np.isfinite(data)):
             raise ValidationError(
                 "cube contains non-finite values (pass allow_non_finite to accept)"
@@ -285,11 +350,17 @@ def atomic_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
     cleanly. On any exception the partial file is removed and `path` is left
     as it was."""
     path = Path(path)
+    if path.is_dir():  # refused before the caller reads or computes anything
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "xb") as f:
+        f = open(tmp, "xb")
+    except OSError as e:  # named for the path the caller gave, not its temporary file
+        raise OSError(e.errno, e.strerror, str(path)) from None
+    try:
+        with f:
             yield f
-        os.replace(tmp, path)
+        os.replace(tmp, path)  # its error names both files
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

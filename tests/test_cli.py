@@ -11,7 +11,7 @@ import pytest
 import hsadapt.cli
 import hsadapt.metrics
 from hsadapt.cli import _paired_masks, main
-from hsadapt.cube_io import HyperCube, LabelMask, read_cube, write_cube, write_mask
+from hsadapt.cube_io import CubeReader, HyperCube, LabelMask, read_cube, write_cube, write_mask
 from hsadapt.synth import gen_random_cube
 from hsadapt.spectral import WavelengthGrid
 
@@ -497,3 +497,39 @@ def test_report_out_is_written_atomically(tmp_path, cube_file, monkeypatch, name
     assert main(argv) == 1
     assert out.read_bytes() == old
     assert [p.name for p in reports.iterdir()] == ["report.json"]
+
+
+UNWRITABLE = {
+    "missing-dir": lambda d: d / "no" / "such" / "out",
+    "a-dir": lambda d: d / "out",
+}
+WRITERS = {
+    "adapt": lambda d, cube, target: adapt_argv(d, cube)[:-1] + [str(target)],
+    "synth": lambda d, cube, target: [
+        "synth", "random", "--height", "2", "--width", "2", "--output", str(target)],
+    "inspect": lambda d, cube, target: ["inspect", str(cube), "--out", str(target)],
+    "metrics-seg": lambda d, cube, target: seg_dirs_argv(d) + ["--out", str(target)],
+}
+
+
+@pytest.mark.parametrize("where", sorted(UNWRITABLE))
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_unwritable_output_names_the_given_path(
+    tmp_path, cube_file, capsys, monkeypatch, name, where
+):
+    """An output in a missing directory, or one that is a directory, exits 1
+    with an error that names the path given, not the temporary file beside
+    it, and leaves no temporary file. adapt fails before it reads a strip."""
+    target = UNWRITABLE[where](tmp_path)
+    if where == "a-dir":
+        target.mkdir()
+
+    def unread(self, *args):
+        raise AssertionError("the input payload was read")
+
+    if name == "adapt":
+        monkeypatch.setattr(CubeReader, "strips", unread)
+    assert main(WRITERS[name](tmp_path, cube_file, target)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hsadapt: error: ") and err.endswith(f": {str(target)!r}\n")
+    assert not list(tmp_path.rglob("*.tmp"))

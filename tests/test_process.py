@@ -66,6 +66,22 @@ def test_srf_adapt_imports_only_what_it_runs(chip):
     assert json.loads(p.stdout) == [0, []]
 
 
+def test_only_a_hashed_cube_read_loads_the_digest_queue(tmp_path, chip):
+    """`_queue` maps a shared library into every process that imports it; only
+    a command that hashes a cube as it reads it loads it."""
+    code = (
+        "import sys, json\n"
+        "from hsadapt.cli import main\n"
+        "rcs = [main(a) for a in {argvs!r}]\n"
+        "print(json.dumps([rcs, '_queue' in sys.modules]))\n"
+    )
+    report = ["inspect", str(chip), "--out", str(tmp_path / "report.json")]
+    for argvs, loaded in (([report], False), ([report, srf_argv(chip)], True)):
+        p = python("-c", code.format(argvs=argvs))
+        assert p.returncode == 0, p.stderr
+        assert json.loads(p.stdout) == [[0] * len(argvs), loaded]
+
+
 def test_bare_package_import_loads_no_numpy():
     p = python("-c", "import sys, hsadapt; print(sorted(m for m in sys.modules if "
                      "m.startswith(('numpy', 'hsadapt.'))))")

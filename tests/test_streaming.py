@@ -1,13 +1,17 @@
 """`hsadapt adapt` streams its input through row strips: the output and both
 manifest digests must equal the whole-cube path's, a failure part-way must
 leave an existing output untouched, and memory must stay near one strip.
-`hsadapt inspect` folds its per-band statistics over the same strips."""
+`hsadapt inspect` folds its per-band statistics over the same strips. The
+reader hashes the input on one worker thread per stream, which must end
+however the stream ends."""
 
 import hashlib
 import io
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -15,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hsadapt.cli
 from hsadapt import cube_io
 from hsadapt.band_select import apply_selection, nearest_band_indices
 from hsadapt.cli import main
@@ -35,6 +40,24 @@ STRIP_ROWS = 5  # 23 rows: four full strips and a remainder of three
 def small_strips(monkeypatch):
     row_bytes = W * len(GRID) * 4
     monkeypatch.setattr(cube_io, "STRIP_BYTES", STRIP_ROWS * row_bytes + row_bytes // 2)
+
+
+# The input digest is computed on one worker thread per `strips()` stream.
+ODD_CHUNK = 1000  # bytes per read: divides neither a 36,360-byte strip nor the payload
+JOIN_TIMEOUT_S = 30
+
+
+@pytest.fixture
+def odd_chunks(monkeypatch):
+    monkeypatch.setattr(cube_io, "CHUNK_BYTES", ODD_CHUNK)
+
+
+@pytest.fixture
+def no_thread_left():
+    """Every thread a test starts through the reader has ended when it returns."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 def sha256(path: Path) -> str:
@@ -72,7 +95,7 @@ def test_default_strip_keeps_a_full_chip_whole():
 @pytest.mark.parametrize("tile", [1, 5, 64])
 @pytest.mark.parametrize("method", ["naive", "srf"])
 def test_streamed_output_equals_whole_cube_path(
-    tmp_path, small_strips, method, tile, threads, nan_rows
+    tmp_path, small_strips, odd_chunks, no_thread_left, method, tile, threads, nan_rows
 ):
     data = gen_random_cube(H, W, GRID, seed=tile * 10 + threads).data.copy()
     if nan_rows is not None:
@@ -102,7 +125,9 @@ def last_strip_nan(raw: bytes) -> bytes:
 @pytest.mark.parametrize("corrupt", [last_strip_nan, lambda raw: raw[:-3]],
                          ids=["nan-in-last-strip", "truncated-payload"])
 @pytest.mark.parametrize("method", ["naive", "srf"])
-def test_failed_run_leaves_existing_output_untouched(tmp_path, small_strips, method, corrupt):
+def test_failed_run_leaves_existing_output_untouched(
+    tmp_path, small_strips, odd_chunks, no_thread_left, method, corrupt
+):
     src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
     manifest = Path(str(out) + ".manifest.json")
     src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=3)))
@@ -248,3 +273,162 @@ def test_pipe_input_is_data_error(tmp_path, capsys):
         os.close(r)
     assert "seekable" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+class RecordingHasher:
+    """Keeps each piece it is fed with the thread that fed it; `fail_at`
+    makes that update (counted from 1) raise."""
+
+    def __init__(self, fail_at=None):
+        self.pieces = []
+        self.fail_at = fail_at
+
+    def update(self, piece):
+        if len(self.pieces) + 1 == self.fail_at:
+            raise HasherBroke("update refused")
+        self.pieces.append((threading.get_ident(), bytes(piece)))
+
+
+class HasherBroke(Exception):
+    pass
+
+
+def within_timeout(fn):
+    """fn() run on a helper thread, so a hang fails the test instead of
+    stalling the suite; returns what it returned or raises what it raised."""
+    outcome = {}
+
+    def call():
+        try:
+            outcome["value"] = fn()
+        except BaseException as e:
+            outcome["error"] = e
+
+    helper = threading.Thread(target=call, daemon=True)
+    helper.start()
+    helper.join(JOIN_TIMEOUT_S)
+    assert not helper.is_alive(), f"still running after {JOIN_TIMEOUT_S} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def drain(reader: CubeReader) -> int:
+    rows = 0
+    for strip in reader.strips():
+        rows += strip.height
+        del strip
+    return rows
+
+
+class ShortReads(io.BytesIO):
+    """A stream whose every `readinto` fills at most 777 bytes, as a raw file may."""
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[:777])
+
+
+@pytest.mark.parametrize("short_reads", [False, True], ids=["file", "short-reads"])
+@pytest.mark.parametrize("height", [H, 2], ids=["five-strips", "one-strip-chip"])
+def test_reader_digest_is_the_file_sha256(tmp_path, small_strips, odd_chunks, no_thread_left,
+                                          height, short_reads):
+    """The worker hashes views of the strip buffers, so the digest also
+    checks that every read landed where it belongs."""
+    src = tmp_path / "in.hsc"
+    src.write_bytes(write_cube(gen_random_cube(height, W, GRID, seed=12)))
+    hasher = hashlib.sha256()
+    with ShortReads(src.read_bytes()) if short_reads else src.open("rb") as f:
+        assert drain(CubeReader(f, hasher=hasher)) == height
+    assert hasher.hexdigest() == sha256(src)
+
+
+def test_payload_is_hashed_off_the_callers_thread_in_file_order(
+    tmp_path, small_strips, odd_chunks, no_thread_left
+):
+    src = tmp_path / "in.hsc"
+    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=13)))
+    hasher = RecordingHasher()
+    with src.open("rb") as f:
+        reader = CubeReader(f, hasher=hasher)
+        ((header_thread, _),) = hasher.pieces  # the header, hashed as it is checked
+        drain(reader)
+    caller = threading.get_ident()
+    assert header_thread == caller
+    payload_threads = {t for t, _ in hasher.pieces[1:]}
+    assert len(hasher.pieces) > 1 and caller not in payload_threads
+    assert b"".join(piece for _, piece in hasher.pieces) == src.read_bytes()
+
+
+def test_a_payload_that_ends_early_stops_the_worker(
+    tmp_path, small_strips, odd_chunks, no_thread_left, monkeypatch, capsys
+):
+    """A file that shrinks after its header was checked fails in its last
+    strip with the reader's message, and the worker is joined."""
+    src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
+    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=14)))
+    size = src.stat().st_size
+
+    class Shrinking(CubeReader):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            os.truncate(src, size - 3)
+
+    monkeypatch.setattr(hsadapt.cli, "CubeReader", Shrinking)
+    assert main(adapt_argv("naive", src, out)) == 1
+    last = 3 * W * len(GRID) * 4
+    assert capsys.readouterr().err == (
+        f"hsadapt: error: payload ended early: expected {last} bytes, got {last - 3}\n"
+    )
+    assert not out.exists()
+
+
+def test_closing_the_stream_early_stops_the_worker(tmp_path, small_strips, no_thread_left):
+    src = tmp_path / "in.hsc"
+    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=16)))
+    with src.open("rb") as f:
+        strips = CubeReader(f, hasher=hashlib.sha256()).strips()
+        assert next(strips).height == STRIP_ROWS
+        within_timeout(strips.close)
+
+
+def test_a_failing_hasher_reaches_the_caller(tmp_path, small_strips, odd_chunks, no_thread_left):
+    """The third update (the header's, then two payload pieces) raises on the
+    worker; the reader raises it, neither hangs nor lets it escape the thread."""
+    src = tmp_path / "in.hsc"
+    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=17)))
+    with src.open("rb") as f:
+        reader = CubeReader(f, hasher=RecordingHasher(fail_at=3))
+        with pytest.raises(HasherBroke, match="update refused"):
+            within_timeout(lambda: drain(reader))
+
+
+def test_concurrent_readers_each_hash_their_own_stream(tmp_path, small_strips, odd_chunks,
+                                                       no_thread_left):
+    """Four readers on their own threads, each with its own worker (eight
+    threads on fewer cores), switching threads as often as the interpreter
+    allows: every digest still equals the file's."""
+    files = []
+    for seed in range(4):
+        path = tmp_path / f"in{seed}.hsc"
+        path.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=20 + seed)))
+        files.append(path)
+    digests = {}
+
+    def read(path):
+        hasher = hashlib.sha256()
+        with path.open("rb") as f:
+            drain(CubeReader(f, hasher=hasher))
+        digests[path] = hasher.hexdigest()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=read, args=(p,)) for p in files]
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(JOIN_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers)
+    assert digests == {p: sha256(p) for p in files}
