@@ -178,7 +178,9 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             }
         with atomic_file(out_path) as out:
             dst = CubeWriter(out, src.height, src.width, out_wavelengths)
-            for strip in src.strips():
+            # One kernel run of --tile² pixels per strip, in whole rows, for
+            # either method: the reader holds two such strips, not 16 MiB.
+            for strip in src.strips(rows=src.strip_rows(args.tile * args.tile)):
                 dst.write(adapt(strip))
                 del strip  # so the next strip is decoded while none is held
             out_digest = dst.hexdigest()
@@ -403,7 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=_positive_int, help="srf kernel threads (default: $HSADAPT_THREADS or 1)"
     )
     p_adapt.add_argument(
-        "--tile", type=_positive_int, default=64, help="srf kernel block: runs of TILE*TILE pixels"
+        "--tile",
+        type=_positive_int,
+        default=64,
+        help="pixels per srf kernel run and per input strip, in whole rows: TILE*TILE",
     )
     p_adapt.add_argument("--allow-nan", action="store_true")
     p_adapt.set_defaults(func=cmd_adapt)

@@ -106,7 +106,9 @@ class LabelMask:
         self.labels.setflags(write=False)
 
 
-STRIP_BYTES = 16 * 1024 * 1024  # payload bytes per decoded row strip
+# Payload bytes a reader holds at most: one strip of this size by default,
+# or two smaller strips when it reads one ahead of the digest worker.
+STRIP_BYTES = 16 * 1024 * 1024
 CHUNK_BYTES = 1024 * 1024  # payload bytes per read, each handed to the digest worker as it lands
 
 
@@ -181,12 +183,14 @@ class _DigestWorker:
     """Feeds `hasher` on one thread, in the order `feed` is called.
 
     `feed` hands over a view, not a copy, so the caller must not reuse or free
-    its buffer before the next `sync`, which returns once every piece fed so
-    far has been hashed and the worker holds none of them. An exception from
-    `hasher.update` stops the hashing and is raised by that `sync`.
+    its buffer until the worker has hashed it. `mark` ends a strip, and
+    `wait(keep)` returns once every mark but the latest `keep` has been
+    reached: every piece fed before those marks is hashed and no longer held
+    by the worker. An exception from `hasher.update` stops the hashing and is
+    raised by the next `wait`.
     """
 
-    _SYNC, _STOP = object(), object()
+    _MARK, _STOP = object(), object()
 
     def __init__(self, hasher):
         # What queue.SimpleQueue re-exports, without importing queue; only a
@@ -195,6 +199,7 @@ class _DigestWorker:
 
         self._todo = SimpleQueue()
         self._done = SimpleQueue()
+        self._marks = 0  # marks put but not yet waited for
         self._thread = threading.Thread(
             target=self._run, args=(hasher,), name="hsadapt-digest", daemon=True
         )
@@ -203,22 +208,27 @@ class _DigestWorker:
     def _run(self, hasher) -> None:
         error = None
         for piece in iter(self._todo.get, self._STOP):
-            if piece is self._SYNC:
+            if piece is self._MARK:
                 self._done.put(error)
             elif error is None:
                 try:
                     hasher.update(piece)
-                except BaseException as e:  # raised on the reader's thread by sync()
+                except BaseException as e:  # raised on the reader's thread by wait()
                     error = e
 
     def feed(self, piece) -> None:
         self._todo.put(piece)
 
-    def sync(self) -> None:
-        self._todo.put(self._SYNC)
-        error = self._done.get()
-        if error is not None:
-            raise error
+    def mark(self) -> None:
+        self._todo.put(self._MARK)
+        self._marks += 1
+
+    def wait(self, keep: int = 0) -> None:
+        while self._marks > keep:
+            self._marks -= 1
+            error = self._done.get()  # the oldest mark's
+            if error is not None:
+                raise error
 
     def stop(self) -> None:
         self._todo.put(self._STOP)
@@ -235,11 +245,12 @@ class CubeReader:
     stream. The payload is hashed on one worker thread, which `strips()`
     starts at the first strip and joins when it ends, however it ends.
 
-    The reader keeps no reference to a strip once it has yielded it, and it
-    waits for the worker to finish a strip before it decodes the next. A
-    consumer that drops each strip (and every view of it) before asking for
-    the next therefore holds one strip at a time; one that keeps its loop
-    variable bound holds two while the next is decoded.
+    The reader keeps no reference to a strip once it has yielded it. Before it
+    decodes strip i+1 it waits until the worker has hashed strip i, or only
+    strip i-1 when two strips fit in STRIP_BYTES. So the reader and its worker
+    hold at most STRIP_BYTES of payload, or one strip if a strip is larger,
+    when the consumer drops each strip (and every view of it) before asking
+    for the next; one that keeps its loop variable bound holds one strip more.
     """
 
     def __init__(self, f: BinaryIO, allow_non_finite: bool = False, hasher=None):
@@ -266,18 +277,31 @@ class CubeReader:
         self.height, self.width, self.bands = h, w, c
         self.wavelengths = values
 
+    def strip_rows(self, pixels: int | None = None) -> int:
+        """Rows per strip: as many whole rows as hold at most `pixels` pixels
+        (no limit by default) and fit in STRIP_BYTES, but at least one."""
+        rows = STRIP_BYTES // (self.width * self.bands * 4)
+        if pixels is not None:
+            rows = min(rows, pixels // self.width)
+        return max(1, rows)
+
     def strips(self, rows: int | None = None) -> Iterator[HyperCube]:
         """Yield the cube as consecutive strips of `rows` rows (the last may be
         shorter); by default as many rows as fit in STRIP_BYTES, at least one."""
         if rows is None:
-            rows = max(1, STRIP_BYTES // (self.width * self.bands * 4))
+            rows = self.strip_rows()
+        # Strips the worker may still be hashing when the next one is decoded:
+        # one if two strips fit in STRIP_BYTES.
+        ahead = 1 if 2 * rows <= self.strip_rows() else 0
         digest = None if self._hasher is None else _DigestWorker(self._hasher)
         try:
             for r0 in range(0, self.height, rows):
+                if digest is not None:
+                    digest.wait(keep=ahead)  # before the next strip is allocated
                 # Decoded in a helper, so this frame holds nothing across the yield.
                 yield self._read_strip(min(rows, self.height - r0), digest)
-                if digest is not None:
-                    digest.sync()  # the strip is hashed before the next is allocated
+            if digest is not None:
+                digest.wait()
         finally:
             if digest is not None:
                 digest.stop()
@@ -293,6 +317,8 @@ class CubeReader:
             if digest is not None:
                 digest.feed(buf[got : got + n])
             got += n
+        if digest is not None:
+            digest.mark()
         if not self._allow_non_finite and not np.all(np.isfinite(data)):
             raise ValidationError(
                 "cube contains non-finite values (pass allow_non_finite to accept)"

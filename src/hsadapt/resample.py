@@ -117,9 +117,14 @@ def resample_cube(
 
     pixels = cube.data.reshape(-1, w.n_inputs)  # a view of a C-contiguous strip
     out = np.empty((cube.height, cube.width, w.n_targets), dtype=np.float32)
-    # Per input band that some target reads, in ascending order: (target, weight) pairs.
-    nonzero = [np.flatnonzero(row).tolist() for row in w.weights]
-    reads = [(j, [(k, float(w.weights[j, k])) for k in ks]) for j, ks in enumerate(nonzero) if ks]
+    # Per input band that some target reads, in ascending order: (target, weight)
+    # pairs, also ascending; np.nonzero lists a 2-D array's entries in that order.
+    reads = []
+    js, ks = np.nonzero(w.weights)
+    for j, k, wjk in zip(js.tolist(), ks.tolist(), w.weights[js, ks].tolist()):
+        if not reads or reads[-1][0] != j:
+            reads.append((j, []))
+        reads[-1][1].append((k, wjk))
 
     def run_block(p0: int) -> None:
         x = pixels[p0 : p0 + tile * tile]  # a run may cross the end of a row

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hsadapt.band_select
 import hsadapt.cli
+import hsadapt.resample
 from hsadapt import cube_io
 from hsadapt.band_select import apply_selection, nearest_band_indices
 from hsadapt.cli import main
@@ -228,6 +230,38 @@ def test_one_input_strip_is_held_at_a_time(tmp_path, monkeypatch, method):
     assert peak < ONE_STRIP_PEAK_MIB[method] * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
 
 
+KERNELS = {
+    "naive": (hsadapt.band_select, "apply_selection"),
+    "srf": (hsadapt.resample, "resample_cube"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(KERNELS))
+def test_adapt_hands_the_kernel_whole_runs(tmp_path, monkeypatch, method):
+    """A 128×128×202 chip at the default tile is read as four strips of one
+    64² run, 3.3 MB each, and the reader holds at most two of them, not the
+    13.2 MB chip."""
+    src = tmp_path / "chip.hsc"
+    src.write_bytes(write_cube(gen_random_cube(128, 128, GRID, seed=9)))
+    module, name = KERNELS[method]
+    kernel = getattr(module, name)
+    heights = []
+
+    def recording(strip, *args, **kwargs):
+        heights.append(strip.height)
+        return kernel(strip, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    tracemalloc.start()
+    try:
+        assert main(adapt_argv(method, src, tmp_path / "out.hsc")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert heights == [32, 32, 32, 32]
+    assert peak < 8 * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
+
+
 @pytest.mark.parametrize("allow_nan", [False, True])
 def test_srf_kernel_reads_the_strip_in_place(allow_nan):
     """The kernel widens one input band of one block at a time, so it never
@@ -402,6 +436,22 @@ def test_a_failing_hasher_reaches_the_caller(tmp_path, small_strips, odd_chunks,
             within_timeout(lambda: drain(reader))
 
 
+def test_a_hasher_failing_on_the_last_piece_reaches_the_caller(
+    tmp_path, small_strips, odd_chunks, no_thread_left
+):
+    """No strip follows the last one, so the reader waits for its digest
+    after the loop; an error there is raised, not lost with the worker."""
+    src = tmp_path / "in.hsc"
+    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=19)))
+    counting = RecordingHasher()
+    with src.open("rb") as f:
+        drain(CubeReader(f, hasher=counting))
+    with src.open("rb") as f:
+        reader = CubeReader(f, hasher=RecordingHasher(fail_at=len(counting.pieces)))
+        with pytest.raises(HasherBroke, match="update refused"):
+            within_timeout(lambda: drain(reader))
+
+
 def test_concurrent_readers_each_hash_their_own_stream(tmp_path, small_strips, odd_chunks,
                                                        no_thread_left):
     """Four readers on their own threads, each with its own worker (eight
@@ -432,3 +482,46 @@ def test_concurrent_readers_each_hash_their_own_stream(tmp_path, small_strips, o
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in readers)
     assert digests == {p: sha256(p) for p in files}
+
+
+class BlockingHasher:
+    """Blocks in its first payload update (the header is its first update)
+    until `release` is set."""
+
+    def __init__(self):
+        self.updates = 0
+        self.release = threading.Event()
+
+    def update(self, piece):
+        self.updates += 1
+        if self.updates == 2:
+            self.release.wait(JOIN_TIMEOUT_S)
+
+
+@pytest.mark.parametrize("rows, ahead", [(2, 1), (STRIP_ROWS, 0)],
+                         ids=["two-strips-fit", "one-strip-fits"])
+def test_the_reader_reads_at_most_one_strip_ahead_of_the_worker(
+    tmp_path, small_strips, no_thread_left, rows, ahead
+):
+    """With the worker stuck in strip 1, the reader yields strip 2 when two
+    strips fit in STRIP_BYTES, and never strip 2 + `ahead` until strip 1 is
+    hashed."""
+    src = tmp_path / "in.hsc"
+    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=18)))
+    hasher = BlockingHasher()
+    with src.open("rb") as f:
+        strips = CubeReader(f, hasher=hasher).strips(rows=rows)
+        try:
+            for _ in range(1 + ahead):
+                assert within_timeout(lambda: next(strips).height) == rows
+            got = []
+            waiting = threading.Thread(target=lambda: got.append(next(strips).height))
+            waiting.start()
+            waiting.join(0.2)
+            assert waiting.is_alive() and not got
+            hasher.release.set()
+            waiting.join(JOIN_TIMEOUT_S)
+            assert got == [rows]
+        finally:
+            hasher.release.set()
+            within_timeout(strips.close)
