@@ -75,6 +75,10 @@ _positive_int = _int_at_least(1)
 
 
 MAX_CLASSES = 1 << 15  # labels are int16, so at most 0..32767 occur
+# Pixels per input strip of `adapt --method naive`, in whole rows: 3.3 MB of a
+# 202-band cube, so two strips fit in STRIP_BYTES and the reader reads one
+# strip ahead of the digest worker.
+NAIVE_STRIP_PIXELS = 64 * 64
 
 
 def _class_count(text: str) -> int:
@@ -154,6 +158,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             plan = nearest_band_indices(grid, spec)
             out_wavelengths = tuple(src.wavelengths[j] for j in plan.indices)
             adapt = lambda strip: apply_selection(strip, plan)
+            strip_rows = src.strip_rows(NAIVE_STRIP_PIXELS)
             srf_inputs = {}
             extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
         else:
@@ -169,6 +174,9 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             adapt = lambda strip: resample_cube(
                 strip, w, tile=args.tile, threads=threads, allow_nan=args.allow_nan
             )
+            # Strips of up to STRIP_BYTES, so one kernel call gets every run of
+            # a chip and its pool can share them out.
+            strip_rows = src.strip_rows()
             extra = {
                 "weight_matrix": {
                     "source_grid_hash": w.source_grid_hash,
@@ -178,9 +186,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             }
         with atomic_file(out_path) as out:
             dst = CubeWriter(out, src.height, src.width, out_wavelengths)
-            # One kernel run of --tile² pixels per strip, in whole rows, for
-            # either method: the reader holds two such strips, not 16 MiB.
-            for strip in src.strips(rows=src.strip_rows(args.tile * args.tile)):
+            for strip in src.strips(rows=strip_rows):
                 dst.write(adapt(strip))
                 del strip  # so the next strip is decoded while none is held
             out_digest = dst.hexdigest()
@@ -405,10 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=_positive_int, help="srf kernel threads (default: $HSADAPT_THREADS or 1)"
     )
     p_adapt.add_argument(
-        "--tile",
-        type=_positive_int,
-        default=64,
-        help="pixels per srf kernel run and per input strip, in whole rows: TILE*TILE",
+        "--tile", type=_positive_int, default=64, help="srf kernel block: runs of TILE*TILE pixels"
     )
     p_adapt.add_argument("--allow-nan", action="store_true")
     p_adapt.set_defaults(func=cmd_adapt)

@@ -236,11 +236,15 @@ KERNELS = {
 }
 
 
-@pytest.mark.parametrize("method", sorted(KERNELS))
-def test_adapt_hands_the_kernel_whole_runs(tmp_path, monkeypatch, method):
-    """A 128×128×202 chip at the default tile is read as four strips of one
-    64² run, 3.3 MB each, and the reader holds at most two of them, not the
-    13.2 MB chip."""
+@pytest.mark.parametrize("method, flags, want", [
+    ("naive", [], [32, 32, 32, 32]),
+    ("naive", ["--tile", "5"], [32, 32, 32, 32]),
+    ("srf", [], [128]),
+], ids=["naive", "naive-tile-5", "srf"])
+def test_adapt_strips_of_a_chip(tmp_path, monkeypatch, method, flags, want):
+    """naive reads a 128×128×202 chip as four 3.3 MB strips of 64² pixels,
+    whatever --tile says, and the reader holds at most two of them, not the
+    13.2 MB chip; srf reads it whole, so one kernel call gets all four runs."""
     src = tmp_path / "chip.hsc"
     src.write_bytes(write_cube(gen_random_cube(128, 128, GRID, seed=9)))
     module, name = KERNELS[method]
@@ -254,12 +258,13 @@ def test_adapt_hands_the_kernel_whole_runs(tmp_path, monkeypatch, method):
     monkeypatch.setattr(module, name, recording)
     tracemalloc.start()
     try:
-        assert main(adapt_argv(method, src, tmp_path / "out.hsc")) == 0
+        assert main(adapt_argv(method, src, tmp_path / "out.hsc", *flags)) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert heights == [32, 32, 32, 32]
-    assert peak < 8 * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
+    assert heights == want
+    if method == "naive":
+        assert peak < 8 * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
 
 
 @pytest.mark.parametrize("allow_nan", [False, True])
