@@ -88,19 +88,6 @@ def _class_count(text: str) -> int:
     return n
 
 
-def _default_threads() -> int:
-    env = os.environ.get("HSADAPT_THREADS")
-    if env is None:
-        return 1
-    try:
-        n = int(env)
-    except ValueError:
-        raise ValidationError(f"HSADAPT_THREADS={env!r} is not an integer") from None
-    if n < 1:
-        raise ValidationError("HSADAPT_THREADS must be >= 1")
-    return n
-
-
 def _write_manifest(
     output: Path,
     output_digest: str,
@@ -144,7 +131,6 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     out_path = Path(args.output)
     sensor_digest, sensor_text = _read_text(sensor_path)
     spec = parse_sensor_spec(sensor_text)
-    threads = args.threads if args.threads is not None else _default_threads()
     in_hash = hashlib.sha256()
     with in_path.open("rb") as f:
         # resample_cube checks SRF strips for non-finite values itself.
@@ -171,11 +157,8 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             w = build_weight_matrix(grid, table, spec)
             del table, srf_text  # only the weights are used past this point
             out_wavelengths = w.band_centers
-            adapt = lambda strip: resample_cube(
-                strip, w, tile=args.tile, threads=threads, allow_nan=args.allow_nan
-            )
-            # Strips of up to STRIP_BYTES, so one kernel call gets every run of
-            # a chip and its pool can share them out.
+            adapt = lambda strip: resample_cube(strip, w, allow_nan=args.allow_nan)
+            # Strips of up to STRIP_BYTES, so a 128×128×202 chip is one kernel call.
             strip_rows = src.strip_rows()
             extra = {
                 "weight_matrix": {
@@ -202,8 +185,6 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         "input": str(in_path),
         "output": str(out_path),
         "srf": args.srf,
-        "threads": threads,
-        "tile": args.tile,
         "allow_nan": args.allow_nan,
     }
     _write_manifest(out_path, out_digest, "adapt", params, inputs, extra, started)
@@ -406,13 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--sensor", required=True, help="sensor spec JSON")
     p_adapt.add_argument("--input", required=True, help="input HSC cube")
     p_adapt.add_argument("--output", required=True, help="output HSC cube")
-    p_adapt.add_argument("--srf", help="SRF table CSV (required for --method srf)")
-    p_adapt.add_argument(
-        "--threads", type=_positive_int, help="srf kernel threads (default: $HSADAPT_THREADS or 1)"
-    )
-    p_adapt.add_argument(
-        "--tile", type=_positive_int, default=64, help="srf kernel block: runs of TILE*TILE pixels"
-    )
+    p_adapt.add_argument("--srf", help="SRF table CSV (--method srf only)")
     p_adapt.add_argument("--allow-nan", action="store_true")
     p_adapt.set_defaults(func=cmd_adapt)
 
@@ -462,8 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "adapt" and args.method == "srf" and not args.srf:
-        parser.error("--srf is required when --method srf")
+    if args.command == "adapt":
+        if args.method == "srf" and not args.srf:
+            parser.error("--srf is required when --method srf")
+        if args.method == "naive" and args.srf is not None:
+            parser.error("--srf applies only to --method srf")
     try:
         return args.func(args)
     except (HsadaptError, OSError, MemoryError) as e:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 import hsadapt.cli
 import hsadapt.metrics
-from hsadapt.cli import _paired_masks, main
+from hsadapt.cli import _paired_masks, build_parser, main
 from hsadapt.cube_io import CubeReader, HyperCube, LabelMask, read_cube, write_cube, write_mask
 from hsadapt.synth import gen_random_cube
 from hsadapt.spectral import WavelengthGrid
@@ -81,18 +83,51 @@ class TestAdapt:
                    "--input", str(tmp_path / "nope.hsc"), "--output", str(tmp_path / "o.hsc")])
         assert rc == 1
 
-    @pytest.mark.parametrize("value", ["0", "-2", "x"])
-    @pytest.mark.parametrize("flag", ["--tile", "--threads"])
+    def test_srf_table_with_naive_is_usage_error(self, tmp_path, cube_file, capsys):
+        """naive reads no SRF table, so naming one is a usage error, not a
+        manifest that records a file that was never read."""
+        with pytest.raises(SystemExit) as e:
+            main(["adapt", "--method", "naive", "--srf", str(tmp_path / "missing.csv"),
+                  "--sensor", SENSOR, "--input", str(cube_file),
+                  "--output", str(tmp_path / "o.hsc")])
+        assert e.value.code == 2
+        assert "--srf" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [cube_file.name]
+
+    @pytest.mark.parametrize("flag, value", [("--threads", "2"), ("--tile", "64")])
     @pytest.mark.parametrize("method", ["naive", "srf"])
-    def test_non_positive_tile_or_threads_is_usage_error(
+    def test_retired_speed_options_are_usage_errors(
         self, tmp_path, cube_file, capsys, method, flag, value
     ):
+        """adapt runs the kernel at the library defaults: no option sets its
+        thread count or run length."""
+        argv = adapt_argv(tmp_path, cube_file, srf=SRF if method == "srf" else None)
         with pytest.raises(SystemExit) as e:
-            main(["adapt", "--method", method, "--srf", SRF, "--sensor", SENSOR, flag, value,
-                  "--input", str(cube_file), "--output", str(tmp_path / "o.hsc")])
+            main(argv + [flag, value])
         assert e.value.code == 2
         assert flag in capsys.readouterr().err
-        assert not (tmp_path / "o.hsc").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [cube_file.name]
+
+    def test_thread_count_environment_variable_is_ignored(self, tmp_path, cube_file, monkeypatch):
+        argv = ["adapt", "--method", "srf", "--srf", SRF, "--sensor", SENSOR,
+                "--input", str(cube_file), "--output"]
+        assert main(argv + [str(tmp_path / "a.hsc")]) == 0
+        monkeypatch.setenv("HSADAPT_THREADS", "many")
+        assert main(argv + [str(tmp_path / "b.hsc")]) == 0
+        assert (tmp_path / "a.hsc").read_bytes() == (tmp_path / "b.hsc").read_bytes()
+
+    @pytest.mark.parametrize("method", ["naive", "srf"])
+    def test_manifest_parameters(self, tmp_path, cube_file, method):
+        assert main(adapt_argv(tmp_path, cube_file, srf=SRF if method == "srf" else None)) == 0
+        manifest = json.loads((tmp_path / "o.hsc.manifest.json").read_text())
+        assert manifest["parameters"] == {
+            "method": method,
+            "sensor": SENSOR,
+            "input": str(cube_file),
+            "output": str(tmp_path / "o.hsc"),
+            "srf": SRF if method == "srf" else None,
+            "allow_nan": False,
+        }
 
     def test_flat_cube_methods_agree_byte_identical(self, tmp_path):
         from hsadapt.synth import gen_flat_cube
@@ -107,12 +142,15 @@ class TestAdapt:
                      "--input", str(src), "--output", str(b)]) == 0
         assert read_cube(a.read_bytes()).data.tobytes() == read_cube(b.read_bytes()).data.tobytes()
 
-    def test_rerun_byte_identical_and_threads_invariant(self, tmp_path, cube_file):
+    def test_rerun_byte_identical_and_threads_invariant(self, tmp_path, cube_file, monkeypatch):
+        """Reruns give the same bytes, and no thread count set in the
+        environment changes them."""
         outs = []
-        for name, threads in (("a.hsc", "1"), ("b.hsc", "1"), ("c.hsc", "4")):
+        for name, threads in (("a.hsc", None), ("b.hsc", None), ("c.hsc", "4")):
+            if threads is not None:
+                monkeypatch.setenv("HSADAPT_THREADS", threads)
             out = tmp_path / name
             assert main(["adapt", "--method", "srf", "--srf", SRF, "--sensor", SENSOR,
-                         "--threads", threads, "--tile", "5",
                          "--input", str(cube_file), "--output", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
@@ -381,22 +419,6 @@ class TestSynthInspect:
         assert report["ignored_fraction"] == 0.25
 
 
-class TestEnvThreads:
-    def test_env_default_used(self, tmp_path, cube_file, monkeypatch):
-        monkeypatch.setenv("HSADAPT_THREADS", "2")
-        out = tmp_path / "out.hsc"
-        assert main(["adapt", "--method", "srf", "--srf", SRF, "--sensor", SENSOR,
-                     "--input", str(cube_file), "--output", str(out)]) == 0
-        manifest = json.loads((tmp_path / "out.hsc.manifest.json").read_text())
-        assert manifest["parameters"]["threads"] == 2
-
-    def test_bad_env_value_is_data_error(self, tmp_path, cube_file, monkeypatch):
-        monkeypatch.setenv("HSADAPT_THREADS", "many")
-        rc = main(["adapt", "--method", "srf", "--srf", SRF, "--sensor", SENSOR,
-                   "--input", str(cube_file), "--output", str(tmp_path / "o.hsc")])
-        assert rc == 1
-
-
 def put(d: Path, name: str, data: str | bytes) -> str:
     path = d / name
     if isinstance(data, bytes):
@@ -533,3 +555,24 @@ def test_unwritable_output_names_the_given_path(
     err = capsys.readouterr().err
     assert err.startswith("hsadapt: error: ") and err.endswith(f": {str(target)!r}\n")
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def readme_commands() -> list[str]:
+    """Every `hsadapt ...` line of the README's shell blocks, with backslash
+    continuations joined."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("hsadapt ")]
+
+
+def test_readme_commands_parse():
+    """The README names no option the parser lacks."""
+    commands = readme_commands()
+    assert {shlex.split(c)[1] for c in commands} == {"synth", "adapt", "inspect", "metrics"}
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

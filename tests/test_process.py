@@ -27,7 +27,6 @@ def python(*args: str, blas_threads: str | None = None, **kwargs) -> subprocess.
     OPENBLAS_NUM_THREADS set to `blas_threads` or unset."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    env.pop("HSADAPT_THREADS", None)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads

@@ -99,15 +99,15 @@ def test_default_strip_keeps_a_full_chip_whole():
 def test_streamed_output_equals_whole_cube_path(
     tmp_path, small_strips, odd_chunks, no_thread_left, method, tile, threads, nan_rows
 ):
+    """adapt streams at the kernel's defaults; its bytes equal the whole-cube
+    path's at every kernel tile and thread count."""
     data = gen_random_cube(H, W, GRID, seed=tile * 10 + threads).data.copy()
     if nan_rows is not None:
         data[nan_rows, 2:4, 30:60] = np.nan  # spans the first strip boundary
     raw = write_cube(HyperCube(data=data, wavelengths=GRID.values))
     src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
     src.write_bytes(raw)
-    flags = ["--tile", str(tile), "--threads", str(threads)]
-    if nan_rows is not None:
-        flags.append("--allow-nan")
+    flags = [] if nan_rows is None else ["--allow-nan"]
     assert main(adapt_argv(method, src, out, *flags)) == 0
     assert out.read_bytes() == whole_cube_output(raw, method, tile, threads, nan_rows is not None)
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))
@@ -140,15 +140,9 @@ def test_failed_run_leaves_existing_output_untouched(
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != src} == before
 
 
-SRF_CHECK_TILE = 3  # runs of 9 pixels: each 45-pixel strip takes five checks
-
-
-@pytest.mark.parametrize("method", ["naive", "srf"])
-def test_each_strip_is_checked_for_finiteness_once(tmp_path, small_strips, monkeypatch, method):
-    """Every input value is checked once. naive checks each strip as it is
-    read; srf checks each pixel run in the kernel, never more than a run."""
-    src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
-    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=7)))
+@pytest.fixture
+def finiteness_checks(monkeypatch):
+    """The shape of every array np.isfinite is called on."""
     checked = []
     isfinite = np.isfinite
 
@@ -157,16 +151,29 @@ def test_each_strip_is_checked_for_finiteness_once(tmp_path, small_strips, monke
         return isfinite(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", counting)
-    flags = ["--tile", str(SRF_CHECK_TILE)] if method == "srf" else []
-    assert main(adapt_argv(method, src, out, *flags)) == 0
+    return checked
+
+
+def pixel_checks(checked: list) -> list:
+    """Checks of pixel data: at least 2-D, with the band axis last."""
+    return [s for s in checked if len(s) >= 2 and s[-1] == len(GRID)]
+
+
+@pytest.mark.parametrize("method", ["naive", "srf"])
+def test_each_strip_is_checked_for_finiteness_once(
+    tmp_path, small_strips, finiteness_checks, method
+):
+    """Every input value is checked once. naive checks each strip as it is
+    read; srf checks each pixel run in the kernel."""
+    src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
+    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=7)))
+    assert main(adapt_argv(method, src, out)) == 0
     if method == "naive":
         strips = [(rows, W, len(GRID)) for rows in (5, 5, 5, 5, 3)]
-        assert sorted(s for s in checked if len(s) == 3) == sorted(strips)
+        assert sorted(s for s in finiteness_checks if len(s) == 3) == sorted(strips)
         return
-    # Checks of pixel data: at least 2-D, with the band axis last.
-    cube_checks = [s for s in checked if len(s) >= 2 and s[-1] == len(GRID)]
+    cube_checks = pixel_checks(finiteness_checks)
     assert sum(math.prod(s) for s in cube_checks) == H * W * len(GRID)
-    assert max(math.prod(s[:-1]) for s in cube_checks) <= SRF_CHECK_TILE**2
 
 
 def test_inspect_folds_strips_like_whole_array_reductions(tmp_path, small_strips, capsys):
@@ -236,15 +243,12 @@ KERNELS = {
 }
 
 
-@pytest.mark.parametrize("method, flags, want", [
-    ("naive", [], [32, 32, 32, 32]),
-    ("naive", ["--tile", "5"], [32, 32, 32, 32]),
-    ("srf", [], [128]),
-], ids=["naive", "naive-tile-5", "srf"])
-def test_adapt_strips_of_a_chip(tmp_path, monkeypatch, method, flags, want):
+@pytest.mark.parametrize("method, want", [("naive", [32, 32, 32, 32]), ("srf", [128])],
+                         ids=["naive", "srf"])
+def test_adapt_strips_of_a_chip(tmp_path, monkeypatch, method, want):
     """naive reads a 128×128×202 chip as four 3.3 MB strips of 64² pixels,
-    whatever --tile says, and the reader holds at most two of them, not the
-    13.2 MB chip; srf reads it whole, so one kernel call gets all four runs."""
+    and the reader holds at most two of them, not the 13.2 MB chip; srf
+    reads it whole, so one kernel call gets all four runs."""
     src = tmp_path / "chip.hsc"
     src.write_bytes(write_cube(gen_random_cube(128, 128, GRID, seed=9)))
     module, name = KERNELS[method]
@@ -258,7 +262,7 @@ def test_adapt_strips_of_a_chip(tmp_path, monkeypatch, method, flags, want):
     monkeypatch.setattr(module, name, recording)
     tracemalloc.start()
     try:
-        assert main(adapt_argv(method, src, tmp_path / "out.hsc", *flags)) == 0
+        assert main(adapt_argv(method, src, tmp_path / "out.hsc")) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -282,6 +286,20 @@ def test_srf_kernel_reads_the_strip_in_place(allow_nan):
     finally:
         tracemalloc.stop()
     assert peak < strip.data.nbytes / 2, f"peak {peak / (1 << 20):.2f} MiB"
+
+
+SRF_CHECK_TILE = 3  # runs of 9 pixels: each 45-pixel strip takes five checks
+
+
+def test_srf_finiteness_check_covers_at_most_a_run(finiteness_checks):
+    """The kernel checks every value once, in runs of at most tile² pixels."""
+    spec = parse_sensor_spec(SENSOR.read_text())
+    w = build_weight_matrix(GRID, parse_srf_table(SRF.read_text(), spec), spec)
+    strip = gen_random_cube(STRIP_ROWS, W, GRID, seed=7)
+    resample_cube(strip, w, tile=SRF_CHECK_TILE)
+    cube_checks = pixel_checks(finiteness_checks)
+    assert sum(math.prod(s) for s in cube_checks) == STRIP_ROWS * W * len(GRID)
+    assert max(math.prod(s[:-1]) for s in cube_checks) <= SRF_CHECK_TILE**2
 
 
 def test_srf_finiteness_check_holds_a_run_not_the_strip():
