@@ -16,7 +16,6 @@ if __name__ == "__main__":  # `python -m hsadapt.cli`: before numpy loads
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
@@ -48,14 +47,13 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 
 
-def _read_text(path: Path) -> tuple[str, str]:
-    """A text input's SHA-256 and its UTF-8 text, both from one read."""
+def _read_text(path: Path) -> tuple[bytes, str]:
+    """A text input's bytes and their UTF-8 text, from one read."""
     raw = path.read_bytes()
     try:
-        text = raw.decode("utf-8")
+        return raw, raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text ({e})") from None
-    return hashlib.sha256(raw).hexdigest(), text
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -125,11 +123,14 @@ def _emit_report(report: dict, text_lines: list[str], out: str | None) -> None:
 def cmd_adapt(args: argparse.Namespace) -> int:
     """One pass over the input: check its header, plan, then read, adapt,
     write and hash one row strip at a time, so memory is bounded by a strip."""
+    import hashlib  # loads OpenSSL, which only the commands that hash need
+
     started = time.monotonic()
     in_path = Path(args.input)
     sensor_path = Path(args.sensor)
     out_path = Path(args.output)
-    sensor_digest, sensor_text = _read_text(sensor_path)
+    sensor_raw, sensor_text = _read_text(sensor_path)
+    sensor_digest = hashlib.sha256(sensor_raw).hexdigest()
     spec = parse_sensor_spec(sensor_text)
     in_hash = hashlib.sha256()
     with in_path.open("rb") as f:
@@ -151,11 +152,11 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             from .resample import build_weight_matrix, resample_cube
 
             srf_path = Path(args.srf)
-            srf_digest, srf_text = _read_text(srf_path)
+            srf_raw, srf_text = _read_text(srf_path)
             table = parse_srf_table(srf_text, spec)
-            srf_inputs = {str(srf_path): srf_digest}
+            srf_inputs = {str(srf_path): hashlib.sha256(srf_raw).hexdigest()}
             w = build_weight_matrix(grid, table, spec)
-            del table, srf_text  # only the weights are used past this point
+            del table, srf_raw, srf_text  # only the weights are used past this point
             out_wavelengths = w.band_centers
             adapt = lambda strip: resample_cube(strip, w, allow_nan=args.allow_nan)
             # Strips of up to STRIP_BYTES, so a 128×128×202 chip is one kernel call.

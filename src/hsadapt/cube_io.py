@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import hashlib
 import io
 import json
 import os
@@ -342,6 +341,8 @@ class CubeWriter:
     """
 
     def __init__(self, f: BinaryIO, height: int, width: int, wavelengths: tuple[float, ...]):
+        import hashlib  # loads OpenSSL, which only the commands that hash need
+
         self._f = f
         self._hasher = hashlib.sha256()
         self.height, self.width = height, width

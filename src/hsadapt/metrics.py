@@ -152,16 +152,26 @@ def miou(acc: ConfusionMatrix) -> SegReport:
         raise ValidationError("every class has zero union; mIoU is undefined")
     # Exact rational mean over integer counts, rounded once at the end, so
     # hand-computable cases come out exactly (e.g. (1/2 + 2/3)/2 == 7/12).
-    # Imported here: every CLI command loads this module, only mIoU needs it.
-    from fractions import Fraction
-
-    ratios = [Fraction(int(inter[c]), int(union[c])) for c in present]
-    per_class = {int(c): float(r) for c, r in zip(present, ratios)}
+    # Python's int/int division rounds correctly, so each float is the one
+    # fractions.Fraction would give, without importing it and decimal.
+    classes, inters, unions = present.tolist(), inter[present].tolist(), union[present].tolist()
+    total, denominator = _exact_sum(list(zip(inters, unions)))
     return SegReport(
-        per_class_iou=per_class,
-        miou=float(sum(ratios, Fraction(0)) / len(ratios)),
-        present_classes=int(present.size),
+        per_class_iou={c: i / u for c, i, u in zip(classes, inters, unions)},
+        miou=total / (denominator * len(classes)),
+        present_classes=len(classes),
     )
+
+
+def _exact_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of fractions n/d, unreduced. The terms are added in pairs,
+    round after round, so the big integers grow in a balanced tree; a running
+    sum would multiply an ever larger denominator once per term."""
+    while len(terms) > 1:
+        pairs = zip(terms[::2], terms[1::2])
+        # The last term of an odd count waits for the next round.
+        terms = [(a * d + c * b, b * d) for (a, b), (c, d) in pairs] + terms[len(terms) & ~1 :]
+    return terms[0]
 
 
 def baseline_mse(train_targets: np.ndarray) -> np.ndarray:

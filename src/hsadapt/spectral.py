@@ -9,8 +9,6 @@ uses them: `read_numeric_csv` for CSV tables, `json_object`/`json_float` for JSO
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
 import json
 from dataclasses import dataclass, field
@@ -47,6 +45,8 @@ class WavelengthGrid:
 
 
 def wavelength_digest(values) -> str:
+    import hashlib  # loads OpenSSL, which only the commands that hash need
+
     payload = np.asarray(values, dtype="<f8").tobytes()
     return hashlib.sha256(payload).hexdigest()
 
@@ -190,6 +190,8 @@ def read_numeric_csv(
     the physical line. A cell is a number exactly when np.loadtxt reads it as float64.
     Returns the column names after the key, the key cells, and the numeric cells as
     an N×M array: all columns, or those after the key when `text_key` is set."""
+    import csv  # only the commands that read a CSV load it
+
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [(reader.line_num, r) for r in reader if r]

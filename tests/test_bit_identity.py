@@ -1,10 +1,11 @@
 """Bit-identity of the vectorized weight build, the supported-band kernel and
 the fused confusion kernel against in-test copies of the straightforward
 scalar sampler, dense fixed-order accumulation loop and masked bincount they
-replace."""
+replace, and of mIoU's exact mean against a sum of Fractions."""
 
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,3 +282,62 @@ def test_seg_report_bytes_equal_masked_bincount_report(tmp_path, capsys, per_chi
             str(tmp_path / "truth"), "--classes", str(n), "--out", str(out)]
     assert main(argv + (["--per-chip"] if per_chip else [])) == 0
     assert out.read_bytes() == masked_seg_report(chips, n, ignore, per_chip)
+
+
+def fraction_seg_report(counts):
+    """The SegReport dict from one Fraction per present class, summed exactly
+    and rounded once."""
+    rows, cols = counts.sum(axis=1).tolist(), counts.sum(axis=0).tolist()
+    ratios = {}
+    for c, (row, col) in enumerate(zip(rows, cols)):
+        inter = int(counts[c, c])
+        if row + col - inter:
+            ratios[c] = Fraction(inter, row + col - inter)
+    if not ratios:
+        return None
+    return {
+        "per_class_iou": {str(c): float(r) for c, r in ratios.items()},
+        "miou": float(sum(ratios.values(), Fraction(0)) / len(ratios)),
+        "present_classes": len(ratios),
+    }
+
+
+PRIMES = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+@st.composite
+def iou_counts(draw):
+    """A confusion matrix with drawn per-class intersections and unions:
+    class c >= 1 keeps its intersection on the diagonal and sends the rest of
+    its union to class 0, as truth labelled c and predicted 0."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["small", "coprime", "near-2**40"]))
+    if kind == "coprime":  # no two unions share a factor
+        unions = draw(st.lists(st.sampled_from(PRIMES), min_size=n, max_size=n, unique=True))
+    elif kind == "near-2**40":
+        unions = draw(st.lists(st.integers(2**40 - 2**12, 2**40), min_size=n, max_size=n))
+    else:
+        unions = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    absent = draw(st.sets(st.integers(0, n - 1)))
+    shares = draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))  # in 64ths
+    counts = np.zeros((n, n), dtype=np.int64)
+    for c, (u, share) in enumerate(zip(unions, shares)):
+        if c not in absent:
+            i = u * share // 64
+            counts[c, c] = i
+            counts[c, 0] += u - i
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(iou_counts())
+def test_miou_equals_fraction_mean(counts):
+    want = fraction_seg_report(counts)
+    if want is None:
+        with pytest.raises(ValidationError):
+            miou(ConfusionMatrix(counts.shape[0], counts))
+        return
+    report = miou(ConfusionMatrix(counts.shape[0], counts))
+    assert json.dumps(report.to_dict()) == json.dumps(want)  # repr: equal strings, equal bits
+    assert type(report.miou) is float and report.miou == want["miou"]
+    assert all(type(c) is int and type(v) is float for c, v in report.per_class_iou.items())

@@ -12,7 +12,7 @@ import pytest
 
 import hsadapt.cli
 import hsadapt.metrics
-from hsadapt.cli import _paired_masks, build_parser, main
+from hsadapt.cli import _paired_masks, main
 from hsadapt.cube_io import CubeReader, HyperCube, LabelMask, read_cube, write_cube, write_mask
 from hsadapt.synth import gen_random_cube
 from hsadapt.spectral import WavelengthGrid
@@ -376,7 +376,7 @@ class TestSynthInspect:
     @pytest.mark.parametrize("message, shown", [
         ("Unable to allocate 74.3 TiB for an array", "Unable to allocate 74.3 TiB for an array"),
         ("", "out of memory"),
-    ])
+    ], ids=["numpy-message", "empty-message"])
     def test_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch, message, shown):
         def exhausted(*args):
             raise MemoryError(message)
@@ -566,13 +566,19 @@ def readme_commands() -> list[str]:
     return [line for line in lines if line.startswith("hsadapt ")]
 
 
-def test_readme_commands_parse():
-    """The README names no option the parser lacks."""
+def test_readme_commands_parse(monkeypatch):
+    """Every README command passes all of `main`'s checks up to the command
+    it runs: the parser's and `adapt`'s rules for `--srf`. The commands
+    themselves are stubbed out."""
+    ran = []
+    for name in [n for n in vars(hsadapt.cli) if n.startswith("cmd_")]:
+        monkeypatch.setattr(hsadapt.cli, name, lambda args, name=name: ran.append(name) or 0)
     commands = readme_commands()
     assert {shlex.split(c)[1] for c in commands} == {"synth", "adapt", "inspect", "metrics"}
-    parser = build_parser()
     for command in commands:
         try:
-            parser.parse_args(shlex.split(command)[1:])
+            rc = main(shlex.split(command)[1:])
         except SystemExit:
-            pytest.fail(f"README command does not parse: {command}")
+            pytest.fail(f"README command is a usage error: {command}")
+        assert rc == 0, command
+    assert len(ran) == len(commands)

@@ -81,6 +81,59 @@ def test_only_a_hashed_cube_read_loads_the_digest_queue(tmp_path, chip):
         assert json.loads(p.stdout) == [[0] * len(argvs), loaded]
 
 
+# Modules that cost a command memory or import time: OpenSSL's libcrypto
+# (`_hashlib`, 3.4 MB resident), `decimal` (which `fractions` loads), the
+# digest worker's `_queue`, the kernel pool, and hsadapt's own layers.
+WATCHED = (
+    "hashlib", "_hashlib", "csv", "fractions", "decimal", "_queue", "concurrent.futures",
+    "hsadapt.synth", "hsadapt.band_select", "hsadapt.metrics", "hsadapt.resample",
+)
+HASHED = {"hashlib", "_hashlib"}
+
+
+def footprint_argv(d: Path, chip: Path, command: str) -> list[str]:
+    mask = d / "mask.hsm"
+    mask.write_bytes(write_mask(LabelMask(labels=np.zeros((4, 4), dtype=np.int16))))
+    for name in ("pred", "truth", "train"):
+        (d / f"{name}.csv").write_text("sample_id,K\na,1\nb,2\n")
+    out = str(d / "out")
+    return {
+        "adapt-srf": srf_argv(chip),
+        "adapt-naive": ["adapt", "--method", "naive", "--sensor", SENSOR,
+                        "--input", str(chip), "--output", out],
+        "synth": ["synth", "random", "--height", "2", "--width", "2", "--output", out],
+        "inspect-cube": ["inspect", str(chip), "--out", out],
+        "inspect-mask": ["inspect", str(mask), "--out", out],
+        "metrics-seg": seg_dirs(d, 2) + ["--out", out],
+        "metrics-reg": ["metrics", "reg", "--pred", str(d / "pred.csv"), "--truth",
+                        str(d / "truth.csv"), "--train", str(d / "train.csv"), "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    # Only the commands that write a digest load OpenSSL; only the SRF and
+    # targets CSVs load `csv`; no command loads `fractions` or `decimal`.
+    ("adapt-srf", HASHED | {"csv", "_queue", "hsadapt.resample"}),
+    ("adapt-naive", HASHED | {"_queue", "hsadapt.band_select"}),
+    ("synth", HASHED | {"hsadapt.synth", "hsadapt.band_select", "hsadapt.resample"}),
+    ("inspect-cube", set()),
+    ("inspect-mask", set()),
+    ("metrics-seg", {"hsadapt.metrics"}),
+    ("metrics-reg", {"csv", "hsadapt.metrics"}),
+])
+def test_each_command_loads_only_what_it_runs(tmp_path, chip, command, loaded):
+    code = (
+        "import sys, json\n"
+        "from hsadapt.cli import main\n"
+        f"rc = main({footprint_argv(tmp_path, chip, command)!r})\n"
+        f"print(json.dumps([rc, [m for m in {WATCHED!r} if m in sys.modules]]))\n"
+    )
+    p = python("-c", code)
+    assert p.returncode == 0, p.stderr
+    rc, modules = json.loads(p.stdout)
+    assert (rc, set(modules)) == (0, loaded)
+
+
 def test_bare_package_import_loads_no_numpy():
     p = python("-c", "import sys, hsadapt; print(sorted(m for m in sys.modules if "
                      "m.startswith(('numpy', 'hsadapt.'))))")
