@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .cube_io import (
+    CHUNK_BYTES,
     CUBE_MAGIC,
     MASK_MAGIC,
     CubeReader,
@@ -73,10 +74,6 @@ _positive_int = _int_at_least(1)
 
 
 MAX_CLASSES = 1 << 15  # labels are int16, so at most 0..32767 occur
-# Pixels per input strip of `adapt --method naive`, in whole rows: 3.3 MB of a
-# 202-band cube, so two strips fit in STRIP_BYTES and the reader reads one
-# strip ahead of the digest worker.
-NAIVE_STRIP_PIXELS = 64 * 64
 
 
 def _class_count(text: str) -> int:
@@ -145,7 +142,9 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             plan = nearest_band_indices(grid, spec)
             out_wavelengths = tuple(src.wavelengths[j] for j in plan.indices)
             adapt = lambda strip: apply_selection(strip, plan)
-            strip_rows = src.strip_rows(NAIVE_STRIP_PIXELS)
+            # One digest piece per strip: the reader holds two small strips
+            # while the worker hashes, and the gather has no run size to fill.
+            strip_rows = src.strip_rows(CHUNK_BYTES)
             srf_inputs = {}
             extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
         else:

@@ -28,7 +28,14 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .spectral import WavelengthGrid, json_float, json_object, read_numeric_csv, wavelength_digest
+from .spectral import (
+    WavelengthGrid,
+    check_wavelengths,
+    json_float,
+    json_object,
+    read_numeric_csv,
+    wavelength_digest,
+)
 
 CUBE_MAGIC = b"HSC1"
 MASK_MAGIC = b"HSM1"
@@ -47,6 +54,8 @@ class HyperCube:
     wavelengths: tuple[float, ...]
 
     def __post_init__(self):
+        # Stored as a tuple, whatever sequence was given: its checks are cached by tuple.
+        object.__setattr__(self, "wavelengths", tuple(self.wavelengths))
         if self.data.ndim != 3:
             raise ValidationError("cube data must be H×W×C")
         if self.data.dtype != np.float32:
@@ -55,9 +64,7 @@ class HyperCube:
             raise ValidationError(
                 f"cube has {self.data.shape[2]} bands but {len(self.wavelengths)} wavelengths"
             )
-        arr = np.asarray(self.wavelengths, dtype=np.float64)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValidationError("cube wavelengths must be finite and positive")
+        check_wavelengths(self.wavelengths)
         self.data.setflags(write=False)
 
     @property
@@ -109,6 +116,9 @@ class LabelMask:
 # or two smaller strips when it reads one ahead of the digest worker.
 STRIP_BYTES = 16 * 1024 * 1024
 CHUNK_BYTES = 1024 * 1024  # payload bytes per read, each handed to the digest worker as it lands
+# A declared header longer than this is refused unread, so a header's memory
+# does not follow the file size. A 202-band cube's header is about 1.5 KB.
+MAX_HEADER_BYTES = 1024 * 1024
 
 
 def _is_int(v: object) -> bool:
@@ -135,6 +145,10 @@ def _read_header(f: BinaryIO, magic: bytes) -> tuple[dict, bytes, int]:
             raise FormatError(f"unsupported version {got.decode('ascii', 'replace')!r}")
         raise FormatError(f"bad magic {got!r}, expected {magic!r}")
     (hlen,) = struct.unpack("<Q", prefix[4:12])
+    if hlen > MAX_HEADER_BYTES:
+        raise FormatError(
+            f"declared header length {hlen} exceeds the limit of {MAX_HEADER_BYTES} bytes"
+        )
     if 12 + hlen > size:
         raise FormatError(f"declared header length {hlen} exceeds stream size")
     raw = f.read(hlen)
@@ -276,13 +290,11 @@ class CubeReader:
         self.height, self.width, self.bands = h, w, c
         self.wavelengths = values
 
-    def strip_rows(self, pixels: int | None = None) -> int:
-        """Rows per strip: as many whole rows as hold at most `pixels` pixels
-        (no limit by default) and fit in STRIP_BYTES, but at least one."""
-        rows = STRIP_BYTES // (self.width * self.bands * 4)
-        if pixels is not None:
-            rows = min(rows, pixels // self.width)
-        return max(1, rows)
+    def strip_rows(self, max_bytes: int | None = None) -> int:
+        """Rows per strip: as many whole rows as fit in `max_bytes` and in
+        STRIP_BYTES (the default), but at least one."""
+        budget = STRIP_BYTES if max_bytes is None else min(max_bytes, STRIP_BYTES)
+        return max(1, budget // (self.width * self.bands * 4))
 
     def strips(self, rows: int | None = None) -> Iterator[HyperCube]:
         """Yield the cube as consecutive strips of `rows` rows (the last may be

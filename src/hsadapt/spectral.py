@@ -9,6 +9,7 @@ uses them: `read_numeric_csv` for CSV tables, `json_object`/`json_float` for JSO
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -25,12 +26,12 @@ class WavelengthGrid:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        # Stored as a tuple, whatever sequence was given: its checks are cached by tuple.
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) < 1:
             raise ValidationError("wavelength grid must contain at least one value")
-        arr = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValidationError("wavelengths must be finite and positive")
-        if np.any(np.diff(arr) <= 0):
+        check_wavelengths(self.values)
+        if np.any(np.diff(self.values) <= 0):
             raise ValidationError("wavelengths must be strictly increasing")
 
     def __len__(self) -> int:
@@ -44,11 +45,28 @@ class WavelengthGrid:
         return wavelength_digest(self.values)
 
 
-def wavelength_digest(values) -> str:
+@functools.lru_cache(maxsize=16)
+def check_wavelengths(values: tuple[float, ...]) -> None:
+    """Raise ValidationError unless every wavelength is finite and positive.
+
+    Every strip of a stream carries the same tuple, so the check runs once per
+    distinct tuple. A tuple that fails raises on every call, since lru_cache
+    keeps no exception.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+        raise ValidationError("wavelengths must be finite and positive")
+
+
+@functools.lru_cache(maxsize=16)
+def wavelength_digest(values: tuple[float, ...]) -> str:
+    """Hex SHA-256 of finite, positive wavelengths as float64 bytes, hashed
+    once per distinct tuple. Equal tuples of positive numbers have equal bytes
+    (0.0 == -0.0 would not), so a cached digest is the one its key's bytes give."""
     import hashlib  # loads OpenSSL, which only the commands that hash need
 
-    payload = np.asarray(values, dtype="<f8").tobytes()
-    return hashlib.sha256(payload).hexdigest()
+    check_wavelengths(values)
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)

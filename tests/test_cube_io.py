@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -7,6 +9,8 @@ import pytest
 
 from hsadapt.cli import main
 from hsadapt.cube_io import (
+    MAX_HEADER_BYTES,
+    CubeReader,
     HyperCube,
     LabelMask,
     read_cube,
@@ -16,6 +20,7 @@ from hsadapt.cube_io import (
     write_mask,
 )
 from hsadapt.errors import FormatError, ValidationError
+from hsadapt.spectral import WavelengthGrid
 
 SENSOR = str(Path(__file__).resolve().parents[1] / "configs" / "sentinel2_l2a_12band.json")
 
@@ -150,6 +155,68 @@ def test_malformed_header_is_format_error(tmp_path, name):
                 "--input", str(tmp_path / "in.hsc"), "--output", str(tmp_path / "out.hsc")]
     assert main(argv) == 1
     assert not (tmp_path / "out.hsc").exists()
+
+
+def padded_header(stream: bytes, length: int) -> bytes:
+    """The container `stream` with its JSON header padded by spaces to `length` bytes."""
+    (hlen,) = struct.unpack("<Q", stream[4:12])
+    return repack(stream, stream[12 : 12 + hlen] + b" " * (length - hlen))
+
+
+class RecordedReads(io.BytesIO):
+    """A stream that keeps the size of every `read` asked of it."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("kind", ["cube", "mask"])
+def test_header_over_the_limit_is_refused_unread(tmp_path, capsys, kind):
+    """A header of MAX_HEADER_BYTES is read; one byte more is a FormatError
+    raised before the header is read, so the memory a header takes does not
+    follow the file size."""
+    stream, read = (CUBE_STREAM, read_cube) if kind == "cube" else (MASK_STREAM, read_mask)
+    read(padded_header(stream, MAX_HEADER_BYTES))
+    over = padded_header(stream, MAX_HEADER_BYTES + 1)
+    with pytest.raises(FormatError, match=f"exceeds the limit of {MAX_HEADER_BYTES} bytes"):
+        read(over)
+    if kind == "cube":
+        f = RecordedReads(over)
+        with pytest.raises(FormatError, match="limit"):
+            CubeReader(f)
+        assert f.sizes == [12]  # magic and header length only
+    path = tmp_path / f"big.{'hsc' if kind == 'cube' else 'hsm'}"
+    path.write_bytes(over)
+    assert main(["inspect", str(path)]) == 1
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -500.0, math.nan, math.inf])
+def test_a_bad_wavelength_fails_on_every_call(bad):
+    """Wavelength checks are cached per tuple, but a failure is not: the same
+    bad tuple is refused every time, also after the good tuple next to it."""
+    data = np.zeros((1, 1, 2), dtype=np.float32)
+    HyperCube(data=data, wavelengths=(500.0, 600.0))
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            HyperCube(data=data, wavelengths=(500.0, bad))
+        with pytest.raises(ValidationError, match="finite and positive"):
+            WavelengthGrid((bad, 600.0))
+
+
+def test_wavelengths_may_be_any_sequence():
+    """A list or an array of wavelengths is stored as a tuple, which the
+    cached wavelength checks need."""
+    data = np.zeros((1, 1, 2), dtype=np.float32)
+    for given in ([500.0, 600.0], np.array([500.0, 600.0])):
+        cube = HyperCube(data=data, wavelengths=given)
+        assert cube.wavelengths == (500.0, 600.0) == WavelengthGrid(given).values
+        assert cube.grid_digest() == WavelengthGrid(given).digest() == cube.grid.digest()
 
 
 class TestMaskFormat:

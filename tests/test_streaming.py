@@ -243,14 +243,18 @@ KERNELS = {
 }
 
 
-@pytest.mark.parametrize("method, want", [("naive", [32, 32, 32, 32]), ("srf", [128])],
-                         ids=["naive", "srf"])
-def test_adapt_strips_of_a_chip(tmp_path, monkeypatch, method, want):
-    """naive reads a 128×128×202 chip as four 3.3 MB strips of 64² pixels,
-    and the reader holds at most two of them, not the 13.2 MB chip; srf
-    reads it whole, so one kernel call gets all four runs."""
+@pytest.mark.parametrize(
+    "method, height, width, want",
+    [("naive", 128, 128, [10] * 12 + [8]), ("naive", 8, 512, [2, 2, 2, 2]), ("srf", 128, 128, [128])],
+    ids=["naive", "naive-scene-rows", "srf"],
+)
+def test_adapt_strips_of_a_chip(tmp_path, monkeypatch, method, height, width, want):
+    """naive reads strips of whole rows that fit in one 1 MiB digest piece:
+    10 rows (1.0 MB) of a 128×128×202 chip, 2 rows (0.8 MB) of a 512-pixel
+    wide scene. The reader holds at most two of them, not the 13.2 MB chip.
+    srf reads a chip whole, so one kernel call gets all four runs."""
     src = tmp_path / "chip.hsc"
-    src.write_bytes(write_cube(gen_random_cube(128, 128, GRID, seed=9)))
+    src.write_bytes(write_cube(gen_random_cube(height, width, GRID, seed=9)))
     module, name = KERNELS[method]
     kernel = getattr(module, name)
     heights = []
@@ -268,7 +272,40 @@ def test_adapt_strips_of_a_chip(tmp_path, monkeypatch, method, want):
         tracemalloc.stop()
     assert heights == want
     if method == "naive":
-        assert peak < 8 * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
+        assert peak < 3 * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
+
+
+def grid_work(tmp_path, monkeypatch, height: int, start: float) -> tuple[int, int]:
+    """The wavelength checks (np.isfinite on a 1-D array) and SHA-256 objects
+    of one naive adapt of a height×W cube in strips of STRIP_ROWS rows, on a
+    grid from `start` nm that no other test uses."""
+    grid = WavelengthGrid(tuple(start + 10.0 * i for i in range(len(GRID))))
+    src, out = tmp_path / f"in{height}.hsc", tmp_path / f"out{height}.hsc"
+    src.write_bytes(write_cube(gen_random_cube(height, W, grid, seed=height)))
+    checks, hashers = [], []
+    isfinite, sha256 = np.isfinite, hashlib.sha256
+
+    def counting_isfinite(x, *args, **kwargs):
+        checks.append(np.ndim(x) == 1)
+        return isfinite(x, *args, **kwargs)
+
+    def counting_sha256(*args, **kwargs):
+        hashers.append(args)
+        return sha256(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "isfinite", counting_isfinite)
+        m.setattr(hashlib, "sha256", counting_sha256)
+        assert main(adapt_argv("naive", src, out)) == 0
+    return sum(checks), len(hashers)
+
+
+def test_grid_work_runs_once_per_stream(tmp_path, monkeypatch, small_strips):
+    """Every strip carries the same wavelength tuple, so checking and hashing
+    it costs a naive adapt of 64 strips no more than one of 16."""
+    sixteen = grid_work(tmp_path, monkeypatch, 16 * STRIP_ROWS, start=421.25)
+    sixty_four = grid_work(tmp_path, monkeypatch, 64 * STRIP_ROWS, start=421.75)
+    assert sixteen == sixty_four
 
 
 @pytest.mark.parametrize("allow_nan", [False, True])
