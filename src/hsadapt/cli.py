@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .cube_io import (
-    CHUNK_BYTES,
     CUBE_MAGIC,
     MASK_MAGIC,
     CubeReader,
@@ -46,6 +45,7 @@ from .spectral import WavelengthGrid, parse_sensor_spec, parse_srf_table
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
+NAIVE_STRIP_BYTES = 1024 * 1024  # payload bytes per naive strip in `adapt`
 
 
 def _read_text(path: Path) -> tuple[bytes, str]:
@@ -142,9 +142,9 @@ def cmd_adapt(args: argparse.Namespace) -> int:
             plan = nearest_band_indices(grid, spec)
             out_wavelengths = tuple(src.wavelengths[j] for j in plan.indices)
             adapt = lambda strip: apply_selection(strip, plan)
-            # One digest piece per strip: the reader holds two small strips
-            # while the worker hashes, and the gather has no run size to fill.
-            strip_rows = src.strip_rows(CHUNK_BYTES)
+            # Strips of at most 1 MiB: the reader holds two small strips while
+            # the worker hashes one, and the gather has no run size to fill.
+            strip_rows = src.strip_rows(NAIVE_STRIP_BYTES)
             srf_inputs = {}
             extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
         else:
@@ -213,13 +213,13 @@ def _paired_masks(pred_dir: str, truth_dir: str) -> list[tuple[str, str, str]]:
 
 
 def _read_chip(path: str) -> LabelMask:
-    """One mask file, read once; a bad one's error names it."""
+    """One mask file, its header checked before its payload is read; a bad
+    one's error names it."""
     with open(path, "rb") as f:
-        stream = f.read()
-    try:
-        return read_mask(stream)
-    except HsadaptError as e:
-        raise type(e)(f"{path}: {e}") from None
+        try:
+            return read_mask(f)
+        except HsadaptError as e:
+            raise type(e)(f"{path}: {e}") from None
 
 
 def cmd_metrics_seg(args: argparse.Namespace) -> int:
@@ -357,7 +357,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if magic == CUBE_MAGIC:
             report = _cube_report(f)
         elif magic == MASK_MAGIC:
-            mask = read_mask(f.read())
+            mask = read_mask(f)
             ignored = int(np.count_nonzero(mask.labels == mask.ignore_value))
             values, counts = np.unique(mask.labels, return_counts=True)
             report = {

@@ -6,8 +6,8 @@ little-endian payload whose size is fully determined by the header.
 
 Cubes are decoded and encoded in row strips (`CubeReader`, `CubeWriter`), so
 `hsadapt adapt` never holds a whole scene; `read_cube` is the one-strip case.
-A reader given a hasher feeds it on one worker thread, so the input digest
-overlaps the reading and the adaptation of the strips.
+A reader given a hasher hands it each strip whole on one worker thread, so a
+strip is hashed while it is adapted and the next one is read.
 """
 
 from __future__ import annotations
@@ -115,7 +115,6 @@ class LabelMask:
 # Payload bytes a reader holds at most: one strip of this size by default,
 # or two smaller strips when it reads one ahead of the digest worker.
 STRIP_BYTES = 16 * 1024 * 1024
-CHUNK_BYTES = 1024 * 1024  # payload bytes per read, each handed to the digest worker as it lands
 # A declared header longer than this is refused unread, so a header's memory
 # does not follow the file size. A 202-band cube's header is about 1.5 KB.
 MAX_HEADER_BYTES = 1024 * 1024
@@ -193,17 +192,17 @@ def _bytes_of(a: np.ndarray) -> memoryview:
 
 
 class _DigestWorker:
-    """Feeds `hasher` on one thread, in the order `feed` is called.
+    """Feeds `hasher` on one thread, one strip at a time, in the order `feed`
+    is called.
 
-    `feed` hands over a view, not a copy, so the caller must not reuse or free
-    its buffer until the worker has hashed it. `mark` ends a strip, and
-    `wait(keep)` returns once every mark but the latest `keep` has been
-    reached: every piece fed before those marks is hashed and no longer held
-    by the worker. An exception from `hasher.update` stops the hashing and is
-    raised by the next `wait`.
+    `feed` hands over a view of a whole strip, not a copy, so the caller must
+    not reuse or free its buffer until the worker has hashed it. `wait(keep)`
+    returns once every strip fed but the latest `keep` is hashed and no longer
+    held by the worker. An exception from `hasher.update` stops the hashing
+    and is raised by the next `wait`.
     """
 
-    _MARK, _STOP = object(), object()
+    _STOP = object()
 
     def __init__(self, hasher):
         # What queue.SimpleQueue re-exports, without importing queue; only a
@@ -212,7 +211,7 @@ class _DigestWorker:
 
         self._todo = SimpleQueue()
         self._done = SimpleQueue()
-        self._marks = 0  # marks put but not yet waited for
+        self._fed = 0  # strips fed but not yet waited for
         self._thread = threading.Thread(
             target=self._run, args=(hasher,), name="hsadapt-digest", daemon=True
         )
@@ -220,26 +219,23 @@ class _DigestWorker:
 
     def _run(self, hasher) -> None:
         error = None
-        for piece in iter(self._todo.get, self._STOP):
-            if piece is self._MARK:
-                self._done.put(error)
-            elif error is None:
+        for strip in iter(self._todo.get, self._STOP):
+            if error is None:
                 try:
-                    hasher.update(piece)
+                    hasher.update(strip)
                 except BaseException as e:  # raised on the reader's thread by wait()
                     error = e
+            del strip  # not held while the worker waits for the next one
+            self._done.put(error)
 
-    def feed(self, piece) -> None:
-        self._todo.put(piece)
-
-    def mark(self) -> None:
-        self._todo.put(self._MARK)
-        self._marks += 1
+    def feed(self, strip) -> None:
+        self._todo.put(strip)
+        self._fed += 1
 
     def wait(self, keep: int = 0) -> None:
-        while self._marks > keep:
-            self._marks -= 1
-            error = self._done.get()  # the oldest mark's
+        while self._fed > keep:
+            self._fed -= 1
+            error = self._done.get()  # the oldest strip's
             if error is not None:
                 raise error
 
@@ -253,10 +249,11 @@ class CubeReader:
 
     The constructor reads and checks the header and checks the payload length
     against the stream size, so a bad file fails before any data is read.
-    `strips()` then decodes the payload in row strips; every byte read is fed
-    to `hasher`, so after the last strip it holds the digest of the whole
-    stream. The payload is hashed on one worker thread, which `strips()`
-    starts at the first strip and joins when it ends, however it ends.
+    `strips()` then decodes the payload in row strips and feeds each strip,
+    once it is read, whole to `hasher`, so after the last strip it holds the
+    digest of the whole stream. The payload is hashed on one worker thread,
+    which `strips()` starts at the first strip and joins when it ends, however
+    it ends.
 
     The reader keeps no reference to a strip once it has yielded it. Before it
     decodes strip i+1 it waits until the worker has hashed strip i, or only
@@ -322,14 +319,12 @@ class CubeReader:
         buf = _bytes_of(data)
         got = 0
         while got < len(buf):
-            n = self._f.readinto(buf[got : got + CHUNK_BYTES])
+            n = self._f.readinto(buf[got:])
             if not n:
                 raise FormatError(f"payload ended early: expected {len(buf)} bytes, got {got}")
-            if digest is not None:
-                digest.feed(buf[got : got + n])
             got += n
         if digest is not None:
-            digest.mark()
+            digest.feed(buf)
         if not self._allow_non_finite and not np.all(np.isfinite(data)):
             raise ValidationError(
                 "cube contains non-finite values (pass allow_non_finite to accept)"
@@ -405,16 +400,20 @@ def atomic_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
         raise
 
 
-def read_mask(stream: bytes) -> LabelMask:
-    """Decode an HSM-v1 stream. The labels are a read-only view of `stream`,
-    not a copy."""
-    header, head, payload_len = _read_header(io.BytesIO(stream), MASK_MAGIC)
+def read_mask(stream: bytes | BinaryIO) -> LabelMask:
+    """Decode an HSM-v1 stream, given as bytes or as a seekable binary file.
+    The header is checked before the payload is read. The labels are a
+    read-only view of the payload read."""
+    f = io.BytesIO(stream) if isinstance(stream, (bytes, bytearray, memoryview)) else stream
+    header, _, payload_len = _read_header(f, MASK_MAGIC)
     h, w = _header_dims(header, ("h", "w"), "i16le")
     ignore = header.get("ignore_value", -1)
     if not _is_int(ignore):
         raise FormatError("ignore_value must be an integer")
     _check_payload(payload_len, h * w * 2)
-    labels = np.frombuffer(stream, dtype="<i2", count=h * w, offset=len(head))
+    payload = f.read(payload_len)
+    _check_payload(len(payload), payload_len)  # a file that shrank since
+    labels = np.frombuffer(payload, dtype="<i2", count=h * w)
     return LabelMask(labels=labels.reshape(h, w), ignore_value=ignore)
 
 

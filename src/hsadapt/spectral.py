@@ -105,16 +105,18 @@ class SensorSpec:
         return np.asarray([b.center for b in self.bands], dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SrfTable:
     """Tabulated per-band spectral sensitivities on a shared wavelength grid.
 
     Columns are aligned to a SensorSpec's band order. Sensitivities need not be
     pre-normalized; normalization happens when the weight matrix is built.
+    Any 2-D sequence of them is stored as one read-only float64 array. Tables
+    compare equal by value; they are not hashable.
     """
 
     grid: tuple[float, ...]
-    sensitivities: tuple[tuple[float, ...], ...]  # one row per target band
+    sensitivities: np.ndarray  # (bands, len(grid)) float64: one row per target band
     band_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
@@ -128,14 +130,29 @@ class SrfTable:
                 f"SRF wavelengths top out at {g.max():g}; expected nanometers "
                 "(values this small look like microns)"
             )
-        for name, col in zip(self.band_names or ("?",) * len(self.sensitivities), self.sensitivities):
-            c = np.asarray(col, dtype=np.float64)
+        rows = [np.asarray(r, dtype=np.float64) for r in self.sensitivities]
+        names = tuple(self.band_names) + ("?",) * len(rows)  # "?" for an unnamed row
+        for name, c in zip(names, rows):
             if c.size != g.size:
                 raise ValidationError(f"band {name!r}: sensitivity column length mismatch")
             if not np.all(np.isfinite(c)):
                 raise ValidationError(f"band {name!r}: non-finite sensitivity")
             if np.any(c < 0):
                 raise ValidationError(f"band {name!r}: negative sensitivity")
+        sens = np.array(rows, dtype=np.float64).reshape(len(rows), g.size)
+        sens.setflags(write=False)
+        object.__setattr__(self, "sensitivities", sens)
+
+    def __eq__(self, other):
+        if not isinstance(other, SrfTable):
+            return NotImplemented
+        return (
+            self.grid == other.grid
+            and self.band_names == other.band_names
+            and np.array_equal(self.sensitivities, other.sensitivities)
+        )
+
+    __hash__ = None
 
     @property
     def n_bands(self) -> int:
@@ -149,9 +166,8 @@ def _sample_srf(table: SrfTable, bands, wavelengths) -> np.ndarray:
     lam = np.asarray(wavelengths, dtype=np.float64)
     out = np.empty((lam.size, len(bands)), dtype=np.float64)
     for i, k in enumerate(bands):
-        col = np.asarray(table.sensitivities[k], dtype=np.float64)
         # np.interp returns the tabulated value itself at a tabulation point.
-        out[:, i] = np.interp(lam, grid, col, left=0.0, right=0.0)
+        out[:, i] = np.interp(lam, grid, table.sensitivities[k], left=0.0, right=0.0)
     return out
 
 
@@ -273,7 +289,7 @@ def parse_srf_table(text: str, spec: SensorSpec) -> SrfTable:
     if missing:
         raise ValidationError(f"SRF table missing column(s) for band(s): {missing}")
     col_index = {name: i + 1 for i, name in enumerate(columns)}
-    sens = tuple(tuple(data[:, col_index[name]].tolist()) for name in spec.band_names)
+    sens = data[:, [col_index[name] for name in spec.band_names]].T
     return SrfTable(
         grid=tuple(data[:, 0].tolist()), sensitivities=sens, band_names=tuple(spec.band_names)
     )

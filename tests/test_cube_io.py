@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import struct
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -185,15 +188,67 @@ def test_header_over_the_limit_is_refused_unread(tmp_path, capsys, kind):
     over = padded_header(stream, MAX_HEADER_BYTES + 1)
     with pytest.raises(FormatError, match=f"exceeds the limit of {MAX_HEADER_BYTES} bytes"):
         read(over)
-    if kind == "cube":
-        f = RecordedReads(over)
-        with pytest.raises(FormatError, match="limit"):
-            CubeReader(f)
-        assert f.sizes == [12]  # magic and header length only
+    f = RecordedReads(over)
+    with pytest.raises(FormatError, match="limit"):
+        CubeReader(f) if kind == "cube" else read_mask(f)
+    assert f.sizes == [12]  # magic and header length only
     path = tmp_path / f"big.{'hsc' if kind == 'cube' else 'hsm'}"
     path.write_bytes(over)
     assert main(["inspect", str(path)]) == 1
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["inspect", "metrics-seg"])
+def test_an_over_the_limit_mask_file_is_refused_unread(tmp_path, capsys, command):
+    """The CLI hands read_mask the open file, so a mask whose header is over
+    the limit fails after a 12-byte read, whatever the file's size: a 33 MiB
+    file peaks below 1 MiB."""
+    for d in ("pred", "truth"):
+        (tmp_path / d).mkdir()
+        path = tmp_path / d / "chip.hsm"
+        path.write_bytes(padded_header(MASK_STREAM, MAX_HEADER_BYTES + 1))
+        os.truncate(path, 33 << 20)
+    if command == "inspect":
+        argv = ["inspect", str(path)]
+    else:
+        argv = ["metrics", "seg", "--pred-dir", str(tmp_path / "pred"),
+                "--truth-dir", str(tmp_path / "truth"), "--classes", "2"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert peak < 1 << 20, f"peak {peak / (1 << 20):.2f} MiB"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_mask_that_is_a_pipe_is_refused(tmp_path, capsys):
+    """`metrics seg` reads each mask's header before its payload, which needs
+    a seekable file: a `*.hsm` entry that is a named pipe exits 1, as a cube
+    that is a pipe already did."""
+    for d in ("pred", "truth"):
+        (tmp_path / d).mkdir()
+    (tmp_path / "truth" / "chip.hsm").write_bytes(MASK_STREAM)
+    fifo = tmp_path / "pred" / "chip.hsm"
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as f:
+                f.write(MASK_STREAM)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    argv = ["metrics", "seg", "--pred-dir", str(tmp_path / "pred"),
+            "--truth-dir", str(tmp_path / "truth"), "--classes", "2"]
+    assert main(argv) == 1
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert "chip.hsm: input must be a seekable file, not a pipe" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.0, -500.0, math.nan, math.inf])

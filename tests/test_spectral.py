@@ -86,7 +86,7 @@ class TestParseSrfTable:
         spec = parse_sensor_spec('{"sensor": "s", "bands": [{"name": "B1", "center_nm": 500}]}')
         table = parse_srf_table("wavelength_nm,B1\n490,0.5\n500,1.0\n510,0.5\n", spec)
         assert table.grid == (490.0, 500.0, 510.0)
-        assert table.sensitivities == ((0.5, 1.0, 0.5),)
+        assert table.sensitivities.tolist() == [[0.5, 1.0, 0.5]]
 
     def test_missing_column(self):
         spec = parse_sensor_spec(
@@ -121,7 +121,21 @@ class TestParseSrfTable:
         )
         table = parse_srf_table("wavelength_nm,B1,B2\n490,0.1,0.9\n610,0.2,0.8\n", spec)
         assert table.band_names == ("B2", "B1")
-        assert table.sensitivities[0] == (0.9, 0.8)
+        assert table.sensitivities[0].tolist() == [0.9, 0.8]
+
+    def test_tables_compare_by_value(self):
+        """Sensitivities are an array, but tables still compare by value: a
+        parsed table equals one built from tuples of the same numbers."""
+        spec = parse_sensor_spec('{"sensor": "s", "bands": [{"name": "B1", "center_nm": 500}]}')
+        table = parse_srf_table("wavelength_nm,B1\n490,0.5\n500,1.0\n510,0.5\n", spec)
+        same = SrfTable(grid=(490.0, 500.0, 510.0), sensitivities=((0.5, 1.0, 0.5),), band_names=("B1",))
+        assert table == same and not table != same
+        assert table != SrfTable(grid=same.grid, sensitivities=((0.5, 1.0, 0.25),), band_names=("B1",))
+        assert table != SrfTable(grid=same.grid, sensitivities=same.sensitivities, band_names=("B2",))
+        assert table != SrfTable(grid=(490.0, 500.0, 520.0), sensitivities=same.sensitivities, band_names=("B1",))
+        assert table != "not a table"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(table)
 
 
 class TestSrfEvaluate:

@@ -45,13 +45,7 @@ def small_strips(monkeypatch):
 
 
 # The input digest is computed on one worker thread per `strips()` stream.
-ODD_CHUNK = 1000  # bytes per read: divides neither a 36,360-byte strip nor the payload
 JOIN_TIMEOUT_S = 30
-
-
-@pytest.fixture
-def odd_chunks(monkeypatch):
-    monkeypatch.setattr(cube_io, "CHUNK_BYTES", ODD_CHUNK)
 
 
 @pytest.fixture
@@ -97,7 +91,7 @@ def test_default_strip_keeps_a_full_chip_whole():
 @pytest.mark.parametrize("tile", [1, 5, 64])
 @pytest.mark.parametrize("method", ["naive", "srf"])
 def test_streamed_output_equals_whole_cube_path(
-    tmp_path, small_strips, odd_chunks, no_thread_left, method, tile, threads, nan_rows
+    tmp_path, small_strips, no_thread_left, method, tile, threads, nan_rows
 ):
     """adapt streams at the kernel's defaults; its bytes equal the whole-cube
     path's at every kernel tile and thread count."""
@@ -128,7 +122,7 @@ def last_strip_nan(raw: bytes) -> bytes:
                          ids=["nan-in-last-strip", "truncated-payload"])
 @pytest.mark.parametrize("method", ["naive", "srf"])
 def test_failed_run_leaves_existing_output_untouched(
-    tmp_path, small_strips, odd_chunks, no_thread_left, method, corrupt
+    tmp_path, small_strips, no_thread_left, method, corrupt
 ):
     src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
     manifest = Path(str(out) + ".manifest.json")
@@ -249,7 +243,7 @@ KERNELS = {
     ids=["naive", "naive-scene-rows", "srf"],
 )
 def test_adapt_strips_of_a_chip(tmp_path, monkeypatch, method, height, width, want):
-    """naive reads strips of whole rows that fit in one 1 MiB digest piece:
+    """naive reads strips of whole rows that fit in 1 MiB:
     10 rows (1.0 MB) of a 128×128×202 chip, 2 rows (0.8 MB) of a 512-pixel
     wide scene. The reader holds at most two of them, not the 13.2 MB chip.
     srf reads a chip whole, so one kernel call gets all four runs."""
@@ -370,17 +364,17 @@ def test_pipe_input_is_data_error(tmp_path, capsys):
 
 
 class RecordingHasher:
-    """Keeps each piece it is fed with the thread that fed it; `fail_at`
+    """Keeps each update it gets with the thread that made it; `fail_at`
     makes that update (counted from 1) raise."""
 
     def __init__(self, fail_at=None):
-        self.pieces = []
+        self.updates = []
         self.fail_at = fail_at
 
-    def update(self, piece):
-        if len(self.pieces) + 1 == self.fail_at:
+    def update(self, data):
+        if len(self.updates) + 1 == self.fail_at:
             raise HasherBroke("update refused")
-        self.pieces.append((threading.get_ident(), bytes(piece)))
+        self.updates.append((threading.get_ident(), bytes(data)))
 
 
 class HasherBroke(Exception):
@@ -424,7 +418,7 @@ class ShortReads(io.BytesIO):
 
 @pytest.mark.parametrize("short_reads", [False, True], ids=["file", "short-reads"])
 @pytest.mark.parametrize("height", [H, 2], ids=["five-strips", "one-strip-chip"])
-def test_reader_digest_is_the_file_sha256(tmp_path, small_strips, odd_chunks, no_thread_left,
+def test_reader_digest_is_the_file_sha256(tmp_path, small_strips, no_thread_left,
                                           height, short_reads):
     """The worker hashes views of the strip buffers, so the digest also
     checks that every read landed where it belongs."""
@@ -436,25 +430,61 @@ def test_reader_digest_is_the_file_sha256(tmp_path, small_strips, odd_chunks, no
     assert hasher.hexdigest() == sha256(src)
 
 
+class UpdateSizes:
+    """Passes each update on to `hasher` and keeps its size in bytes."""
+
+    def __init__(self, hasher):
+        self.hasher = hasher
+        self.sizes = []
+
+    def update(self, data):
+        self.sizes.append(len(data))
+        self.hasher.update(data)
+
+
+@pytest.mark.parametrize("method, rows", [("naive", [10] * 12 + [8]), ("srf", [128])])
+def test_each_strip_of_a_chip_is_hashed_in_one_update(tmp_path, monkeypatch, method, rows):
+    """adapt reads a 128×128×202 chip in its default strips, and the worker
+    hashes each strip whole: after the header, one update per strip, so srf
+    hashes the 13,238,272-byte chip in one."""
+    src, out = tmp_path / "chip.hsc", tmp_path / "out.hsc"
+    src.write_bytes(write_cube(gen_random_cube(128, 128, GRID, seed=10)))
+    readers = []
+
+    class Recording(CubeReader):
+        def __init__(self, f, allow_non_finite=False, hasher=None):
+            readers.append(UpdateSizes(hasher))
+            super().__init__(f, allow_non_finite, readers[-1])
+
+    monkeypatch.setattr(hsadapt.cli, "CubeReader", Recording)
+    assert main(adapt_argv(method, src, out)) == 0
+    ((header, *payload),) = [r.sizes for r in readers]
+    row_bytes = 128 * len(GRID) * 4
+    assert header + sum(payload) == src.stat().st_size
+    assert payload == [n * row_bytes for n in rows]
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))
+    assert manifest["input_digests"][str(src)] == sha256(src)
+
+
 def test_payload_is_hashed_off_the_callers_thread_in_file_order(
-    tmp_path, small_strips, odd_chunks, no_thread_left
+    tmp_path, small_strips, no_thread_left
 ):
     src = tmp_path / "in.hsc"
     src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=13)))
     hasher = RecordingHasher()
     with src.open("rb") as f:
         reader = CubeReader(f, hasher=hasher)
-        ((header_thread, _),) = hasher.pieces  # the header, hashed as it is checked
+        ((header_thread, _),) = hasher.updates  # the header, hashed as it is checked
         drain(reader)
     caller = threading.get_ident()
     assert header_thread == caller
-    payload_threads = {t for t, _ in hasher.pieces[1:]}
-    assert len(hasher.pieces) > 1 and caller not in payload_threads
-    assert b"".join(piece for _, piece in hasher.pieces) == src.read_bytes()
+    payload_threads = {t for t, _ in hasher.updates[1:]}
+    assert len(hasher.updates) > 1 and caller not in payload_threads
+    assert b"".join(data for _, data in hasher.updates) == src.read_bytes()
 
 
 def test_a_payload_that_ends_early_stops_the_worker(
-    tmp_path, small_strips, odd_chunks, no_thread_left, monkeypatch, capsys
+    tmp_path, small_strips, no_thread_left, monkeypatch, capsys
 ):
     """A file that shrinks after its header was checked fails in its last
     strip with the reader's message, and the worker is joined."""
@@ -485,8 +515,8 @@ def test_closing_the_stream_early_stops_the_worker(tmp_path, small_strips, no_th
         within_timeout(strips.close)
 
 
-def test_a_failing_hasher_reaches_the_caller(tmp_path, small_strips, odd_chunks, no_thread_left):
-    """The third update (the header's, then two payload pieces) raises on the
+def test_a_failing_hasher_reaches_the_caller(tmp_path, small_strips, no_thread_left):
+    """The third update (the header's, then two strips) raises on the
     worker; the reader raises it, neither hangs nor lets it escape the thread."""
     src = tmp_path / "in.hsc"
     src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=17)))
@@ -497,7 +527,7 @@ def test_a_failing_hasher_reaches_the_caller(tmp_path, small_strips, odd_chunks,
 
 
 def test_a_hasher_failing_on_the_last_piece_reaches_the_caller(
-    tmp_path, small_strips, odd_chunks, no_thread_left
+    tmp_path, small_strips, no_thread_left
 ):
     """No strip follows the last one, so the reader waits for its digest
     after the loop; an error there is raised, not lost with the worker."""
@@ -507,12 +537,12 @@ def test_a_hasher_failing_on_the_last_piece_reaches_the_caller(
     with src.open("rb") as f:
         drain(CubeReader(f, hasher=counting))
     with src.open("rb") as f:
-        reader = CubeReader(f, hasher=RecordingHasher(fail_at=len(counting.pieces)))
+        reader = CubeReader(f, hasher=RecordingHasher(fail_at=len(counting.updates)))
         with pytest.raises(HasherBroke, match="update refused"):
             within_timeout(lambda: drain(reader))
 
 
-def test_concurrent_readers_each_hash_their_own_stream(tmp_path, small_strips, odd_chunks,
+def test_concurrent_readers_each_hash_their_own_stream(tmp_path, small_strips,
                                                        no_thread_left):
     """Four readers on their own threads, each with its own worker (eight
     threads on fewer cores), switching threads as often as the interpreter
@@ -552,7 +582,7 @@ class BlockingHasher:
         self.updates = 0
         self.release = threading.Event()
 
-    def update(self, piece):
+    def update(self, data):
         self.updates += 1
         if self.updates == 2:
             self.release.wait(JOIN_TIMEOUT_S)

@@ -89,7 +89,7 @@ def test_configs_srf_table_reads_as_float_does():
     rows = [line.split(",") for line in text.splitlines()[1:]]
     table = parse_srf_table(text, spec)
     assert table.grid == tuple(float(r[0]) for r in rows)
-    assert table.sensitivities == (tuple(float(r[2]) for r in rows),)
+    assert table.sensitivities.tolist() == [[float(r[2]) for r in rows]]
 
 
 @pytest.mark.parametrize(
