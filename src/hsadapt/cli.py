@@ -40,7 +40,7 @@ from .cube_io import (
 from .errors import FormatError, HsadaptError, ValidationError
 # Top-level imports are only what every command loading this module needs;
 # each command imports the rest itself (see "Process cost" in the README).
-from .spectral import WavelengthGrid, parse_sensor_spec, parse_srf_table
+from .spectral import SensorSpec, WavelengthGrid, parse_sensor_spec, parse_srf_table
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -117,6 +117,36 @@ def _emit_report(report: dict, text_lines: list[str], out: str | None) -> None:
         print(line, file=sys.stderr)
 
 
+def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> tuple:
+    """What `--method` makes of the input grid, built once per run: the
+    function that adapts one strip, the strip budget in bytes (None for the
+    reader's default), the SRF's input digest and the method's manifest fields."""
+    if args.method == "naive":
+        from .band_select import apply_selection, nearest_band_indices
+
+        plan = nearest_band_indices(grid, spec)
+        extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
+        # Strips of at most 1 MiB: the reader holds two small strips while
+        # the worker hashes one, and the gather has no run size to fill.
+        return lambda strip: apply_selection(strip, plan), NAIVE_STRIP_BYTES, {}, extra
+    import hashlib
+    from .resample import build_weight_matrix, resample_cube
+
+    srf_path = Path(args.srf)
+    srf_raw, srf_text = _read_text(srf_path)
+    w = build_weight_matrix(grid, parse_srf_table(srf_text, spec), spec)
+    srf_inputs = {str(srf_path): hashlib.sha256(srf_raw).hexdigest()}
+    extra = {
+        "weight_matrix": {
+            "source_grid_hash": w.source_grid_hash,
+            "digest": hashlib.sha256(w.weights.tobytes()).hexdigest(),
+            "support_counts": list(w.support_counts),
+        }
+    }
+    # Strips of up to STRIP_BYTES, so a 128×128×202 chip is one kernel call.
+    return lambda strip: resample_cube(strip, w, allow_nan=args.allow_nan), None, srf_inputs, extra
+
+
 def cmd_adapt(args: argparse.Namespace) -> int:
     """One pass over the input: check its header, plan, then read, adapt,
     write and hash one row strip at a time, so memory is bounded by a strip."""
@@ -132,44 +162,11 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     in_hash = hashlib.sha256()
     with in_path.open("rb") as f:
         # resample_cube checks SRF strips for non-finite values itself.
-        src = CubeReader(
-            f, allow_non_finite=args.allow_nan or args.method == "srf", hasher=in_hash
-        )
-        grid = WavelengthGrid(src.wavelengths)
-        if args.method == "naive":
-            from .band_select import apply_selection, nearest_band_indices
-
-            plan = nearest_band_indices(grid, spec)
-            out_wavelengths = tuple(src.wavelengths[j] for j in plan.indices)
-            adapt = lambda strip: apply_selection(strip, plan)
-            # Strips of at most 1 MiB: the reader holds two small strips while
-            # the worker hashes one, and the gather has no run size to fill.
-            strip_rows = src.strip_rows(NAIVE_STRIP_BYTES)
-            srf_inputs = {}
-            extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
-        else:
-            from .resample import build_weight_matrix, resample_cube
-
-            srf_path = Path(args.srf)
-            srf_raw, srf_text = _read_text(srf_path)
-            table = parse_srf_table(srf_text, spec)
-            srf_inputs = {str(srf_path): hashlib.sha256(srf_raw).hexdigest()}
-            w = build_weight_matrix(grid, table, spec)
-            del table, srf_raw, srf_text  # only the weights are used past this point
-            out_wavelengths = w.band_centers
-            adapt = lambda strip: resample_cube(strip, w, allow_nan=args.allow_nan)
-            # Strips of up to STRIP_BYTES, so a 128×128×202 chip is one kernel call.
-            strip_rows = src.strip_rows()
-            extra = {
-                "weight_matrix": {
-                    "source_grid_hash": w.source_grid_hash,
-                    "digest": hashlib.sha256(w.weights.tobytes()).hexdigest(),
-                    "support_counts": list(w.support_counts),
-                }
-            }
+        src = CubeReader(f, allow_non_finite=args.allow_nan or args.method == "srf", hasher=in_hash)
+        adapt, strip_bytes, srf_inputs, extra = _plan(args, spec, WavelengthGrid(src.wavelengths))
         with atomic_file(out_path) as out:
-            dst = CubeWriter(out, src.height, src.width, out_wavelengths)
-            for strip in src.strips(rows=strip_rows):
+            dst = CubeWriter(out, src.height)
+            for strip in src.strips(rows=src.strip_rows(strip_bytes)):
                 dst.write(adapt(strip))
                 del strip  # so the next strip is decoded while none is held
             out_digest = dst.hexdigest()
@@ -304,7 +301,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         cube = gen_random_cube(args.height, args.width, grid, args.seed)
     out_path = Path(args.output)
     with atomic_file(out_path) as f:
-        dst = CubeWriter(f, cube.height, cube.width, cube.wavelengths)
+        dst = CubeWriter(f, cube.height)
         dst.write(cube)  # the whole cube as one strip, written without a copy
         digest = dst.hexdigest()
     params = {k: v for k, v in vars(args).items() if k not in ("func",)}

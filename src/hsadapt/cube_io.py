@@ -340,29 +340,32 @@ def read_cube(stream: bytes, allow_non_finite: bool = False) -> HyperCube:
 
 
 class CubeWriter:
-    """Encoder for an HSC-v1 stream whose header is known up front.
+    """Encoder for an HSC-v1 stream of `height` rows.
 
-    The header goes out at construction; `write` appends row strips, and every
-    byte written is also hashed. `hexdigest()` checks that all rows arrived
-    and returns the SHA-256 of the whole stream.
+    `write` appends row strips. The first strip's width and wavelengths make
+    the header, which goes out just before it; every later strip must match
+    them. Every byte written is also hashed. `hexdigest()` checks that all
+    rows arrived and returns the SHA-256 of the whole stream.
     """
 
-    def __init__(self, f: BinaryIO, height: int, width: int, wavelengths: tuple[float, ...]):
+    def __init__(self, f: BinaryIO, height: int):
         import hashlib  # loads OpenSSL, which only the commands that hash need
 
         self._f = f
         self._hasher = hashlib.sha256()
-        self.height, self.width = height, width
-        self.wavelengths = tuple(wavelengths)
+        self.height = height
+        self.wavelengths = None  # with the width, set by the first strip
         self.rows = 0
-        self._put(_cube_prefix(height, width, self.wavelengths))
 
     def _put(self, buf) -> None:
         self._f.write(buf)
         self._hasher.update(buf)
 
     def write(self, strip: HyperCube) -> None:
-        if strip.width != self.width or strip.wavelengths != self.wavelengths:
+        if self.wavelengths is None:
+            self.width, self.wavelengths = strip.width, strip.wavelengths
+            self._put(_cube_prefix(self.height, self.width, self.wavelengths))
+        elif strip.width != self.width or strip.wavelengths != self.wavelengths:
             raise ValidationError("strip does not match the cube header being written")
         self._put(_bytes_of(np.ascontiguousarray(strip.data, dtype="<f4")))
         self.rows += strip.height

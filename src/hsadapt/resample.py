@@ -16,12 +16,13 @@ from .spectral import SensorSpec, SrfTable, WavelengthGrid, _sample_srf, wavelen
 DEFAULT_TILE = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """C_in×K nonnegative matrix whose columns sum to one.
 
     Column k holds the normalized response of target band k sampled at the
     input band centers; support_counts[k] is the number of nonzero entries.
+    Matrices compare equal by value; they are not hashable.
     """
 
     weights: np.ndarray  # (C_in, K) float64
@@ -41,6 +42,18 @@ class WeightMatrix:
         if any(c < 1 for c in self.support_counts):
             raise ValidationError("every target band needs at least one supported input band")
         w.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightMatrix):
+            return NotImplemented
+        return (
+            self.band_names == other.band_names
+            and self.band_centers == other.band_centers
+            and self.source_wavelengths == other.source_wavelengths
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    __hash__ = None
 
     @property
     def support_counts(self) -> tuple[int, ...]:

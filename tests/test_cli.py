@@ -118,16 +118,29 @@ class TestAdapt:
 
     @pytest.mark.parametrize("method", ["naive", "srf"])
     def test_manifest_parameters(self, tmp_path, cube_file, method):
-        assert main(adapt_argv(tmp_path, cube_file, srf=SRF if method == "srf" else None)) == 0
-        manifest = json.loads((tmp_path / "o.hsc.manifest.json").read_text())
-        assert manifest["parameters"] == {
-            "method": method,
-            "sensor": SENSOR,
-            "input": str(cube_file),
-            "output": str(tmp_path / "o.hsc"),
-            "srf": SRF if method == "srf" else None,
-            "allow_nan": False,
-        }
+        """Every path in the manifest is spelled as `Path` spells it, however
+        it was given (`dir//in.hsc` as `dir/in.hsc`, `dir/./o.hsc` as
+        `dir/o.hsc`); only `srf` in `parameters` keeps the spelling given."""
+        d, cfg = str(tmp_path), str(REPO / "configs")
+        out = str(tmp_path / "o.hsc")
+        named = [str(cube_file), SENSOR] + ([SRF] if method == "srf" else [])  # in manifest order
+        digests = [(p, hashlib.sha256(Path(p).read_bytes()).hexdigest()) for p in named]
+        for sep in ("/", "//", "/./"):
+            srf = cfg + sep + Path(SRF).name if method == "srf" else None
+            argv = ["adapt", "--method", method, "--sensor", cfg + sep + Path(SENSOR).name,
+                    "--input", d + sep + cube_file.name, "--output", d + sep + "o.hsc"]
+            assert main(argv + (["--srf", srf] if srf else [])) == 0
+            manifest = json.loads((tmp_path / "o.hsc.manifest.json").read_text())
+            assert manifest["parameters"] == {
+                "method": method,
+                "sensor": SENSOR,
+                "input": str(cube_file),
+                "output": out,
+                "srf": srf,
+                "allow_nan": False,
+            }
+            assert list(manifest["input_digests"].items()) == digests
+            assert manifest["output_digests"] == {out: hashlib.sha256(Path(out).read_bytes()).hexdigest()}
 
     def test_flat_cube_methods_agree_byte_identical(self, tmp_path):
         from hsadapt.synth import gen_flat_cube

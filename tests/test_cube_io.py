@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from hsadapt.cli import main
 from hsadapt.cube_io import (
     MAX_HEADER_BYTES,
     CubeReader,
+    CubeWriter,
     HyperCube,
     LabelMask,
     read_cube,
@@ -272,6 +274,44 @@ def test_wavelengths_may_be_any_sequence():
         cube = HyperCube(data=data, wavelengths=given)
         assert cube.wavelengths == (500.0, 600.0) == WavelengthGrid(given).values
         assert cube.grid_digest() == WavelengthGrid(given).digest() == cube.grid.digest()
+
+
+class TestCubeWriter:
+    """The writer takes its header from the first strip, checks every later
+    strip against it, and checks the row count when asked for the digest."""
+
+    cube = random_cube(np.random.default_rng(4), 7, 3, 5)
+
+    def strip(self, r0, r1, cube=None):
+        cube = self.cube if cube is None else cube
+        return HyperCube(data=cube.data[r0:r1], wavelengths=cube.wavelengths)
+
+    def test_strips_make_the_whole_cube_stream(self):
+        f = io.BytesIO()
+        dst = CubeWriter(f, self.cube.height)
+        for r0 in range(0, self.cube.height, 3):  # rows 3, 3 and 1
+            dst.write(self.strip(r0, r0 + 3))
+        digest = dst.hexdigest()
+        assert f.getvalue() == write_cube(self.cube)
+        assert digest == hashlib.sha256(write_cube(self.cube)).hexdigest()
+
+    @pytest.mark.parametrize("other", [
+        random_cube(np.random.default_rng(5), 7, 4, 5),  # wider
+        HyperCube(data=cube.data, wavelengths=tuple(w + 1.0 for w in cube.wavelengths)),
+    ])
+    def test_a_later_strip_must_match_the_first(self, other):
+        dst = CubeWriter(io.BytesIO(), self.cube.height)
+        dst.write(self.strip(0, 3))
+        with pytest.raises(ValidationError, match="strip does not match the cube header"):
+            dst.write(self.strip(3, 7, other))
+
+    @pytest.mark.parametrize("rows, message", [(6, "wrote 6 rows"), (8, "wrote 8 rows")])
+    def test_the_digest_needs_every_row_and_no_more(self, rows, message):
+        dst = CubeWriter(io.BytesIO(), self.cube.height)
+        dst.write(self.strip(0, 4))
+        dst.write(self.strip(4, rows, random_cube(np.random.default_rng(6), 8, 3, 5)))
+        with pytest.raises(ValidationError, match=f"{message}, header declares 7"):
+            dst.hexdigest()
 
 
 class TestMaskFormat:

@@ -5,7 +5,7 @@ import pytest
 
 from hsadapt.cube_io import HyperCube
 from hsadapt.errors import EmptySupportError, GridMismatchError, ValidationError
-from hsadapt.resample import build_weight_matrix, resample_cube, weight_summary
+from hsadapt.resample import WeightMatrix, build_weight_matrix, resample_cube, weight_summary
 from hsadapt.spectral import SensorSpec, SrfTable, TargetBand, WavelengthGrid
 from oracles import normalized_weight_column, resample_cube_loops
 
@@ -67,6 +67,23 @@ class TestBuildWeightMatrix:
             w = build_weight_matrix(grid, table, sensor(("B", center)))
             assert np.all(w.weights >= 0)
             assert abs(w.weights[:, 0].sum() - 1.0) <= 1e-9
+
+    def test_matrices_compare_by_value(self):
+        """Weights are an array, but matrices still compare by value, over the
+        weights and all three tuples."""
+        def matrix(weights=(0.25, 0.75), names=("B1",), centers=(500.0,), source=(490.0, 510.0)):
+            return WeightMatrix(weights=np.array(weights).reshape(2, 1), band_names=names,
+                                band_centers=centers, source_wavelengths=source)
+
+        w = matrix()
+        assert w == matrix() and not w != matrix()
+        assert w != matrix(weights=(0.5, 0.5))
+        assert w != matrix(names=("B2",))
+        assert w != matrix(centers=(501.0,))
+        assert w != matrix(source=(490.0, 520.0))
+        assert w != "not a matrix"
+        with pytest.raises(TypeError, match="unhashable type: 'WeightMatrix'"):
+            hash(w)
 
 
 def flat_cube(h, w, grid, value):

@@ -14,6 +14,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,39 @@ def test_adapt_strips_of_a_chip(tmp_path, monkeypatch, method, height, width, wa
     assert heights == want
     if method == "naive":
         assert peak < 3 * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
+
+
+@pytest.mark.parametrize("method", ["naive", "srf"])
+def test_adapt_plans_once_through_the_names_the_tracer_wraps(
+    tmp_path, monkeypatch, small_strips, method
+):
+    """adapt parses and plans once per run, then runs the kernel once per
+    strip. The benchmark's tracer wraps the parsers in hsadapt.cli, where the
+    CLI imported them, and the plan and kernel functions in their own modules,
+    which the CLI imports when it plans; if the CLI bound any of them at
+    import time, or planned per strip, its per-layer spans would be wrong."""
+    calls = Counter()
+    for module, name in (
+        (hsadapt.cli, "parse_sensor_spec"),
+        (hsadapt.cli, "parse_srf_table"),
+        (hsadapt.band_select, "nearest_band_indices"),
+        (hsadapt.band_select, "apply_selection"),
+        (hsadapt.resample, "build_weight_matrix"),
+        (hsadapt.resample, "resample_cube"),
+    ):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    src = tmp_path / "in.hsc"
+    src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=14)))
+    assert main(adapt_argv(method, src, tmp_path / "out.hsc")) == 0
+    strips = math.ceil(H / STRIP_ROWS)
+    if method == "naive":
+        plan = {"nearest_band_indices": 1, "apply_selection": strips}
+    else:
+        plan = {"parse_srf_table": 1, "build_weight_matrix": 1, "resample_cube": strips}
+    assert calls == {"parse_sensor_spec": 1, **plan}
 
 
 def grid_work(tmp_path, monkeypatch, height: int, start: float) -> tuple[int, int]:
