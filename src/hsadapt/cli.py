@@ -32,9 +32,10 @@ from .cube_io import (
     CubeReader,
     CubeWriter,
     LabelMask,
-    atomic_file,
+    atomic_files,
     read_mask,
     read_targets_csv,
+    require_finite,
     write_mask,
 )
 from .errors import FormatError, HsadaptError, ValidationError
@@ -83,7 +84,12 @@ def _class_count(text: str) -> int:
     return n
 
 
+def _manifest_path(output: Path) -> Path:
+    return Path(str(output) + ".manifest.json")
+
+
 def _write_manifest(
+    f: BinaryIO,
     output: Path,
     output_digest: str,
     subcommand: str,
@@ -102,14 +108,13 @@ def _write_manifest(
         "wall_time_s": time.monotonic() - started,
         **extra,
     }
-    with atomic_file(str(output) + ".manifest.json") as f:
-        f.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    f.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
 
 
 def _emit_report(report: dict, text_lines: list[str], out: str | None) -> None:
     doc = json.dumps(report, indent=2)
     if out:
-        with atomic_file(out) as f:
+        with atomic_files(out) as (f,):
             f.write((doc + "\n").encode("utf-8"))
     else:
         print(doc)
@@ -119,16 +124,23 @@ def _emit_report(report: dict, text_lines: list[str], out: str | None) -> None:
 
 def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> tuple:
     """What `--method` makes of the input grid, built once per run: the
-    function that adapts one strip, the strip budget in bytes (None for the
-    reader's default), the SRF's input digest and the method's manifest fields."""
+    function that checks and adapts one strip, the strip budget in bytes (None
+    for the reader's default), the SRF's input digest and the method's
+    manifest fields."""
     if args.method == "naive":
         from .band_select import apply_selection, nearest_band_indices
 
         plan = nearest_band_indices(grid, spec)
         extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
+
+        def select(strip):
+            if not args.allow_nan:
+                require_finite(strip.data, "allow_non_finite")
+            return apply_selection(strip, plan)
+
         # Strips of at most 1 MiB: the reader holds two small strips while
         # the worker hashes one, and the gather has no run size to fill.
-        return lambda strip: apply_selection(strip, plan), NAIVE_STRIP_BYTES, {}, extra
+        return select, NAIVE_STRIP_BYTES, {}, extra
     import hashlib
     from .resample import build_weight_matrix, resample_cube
 
@@ -144,6 +156,7 @@ def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> t
         }
     }
     # Strips of up to STRIP_BYTES, so a 128×128×202 chip is one kernel call.
+    # The kernel checks each run for non-finite values just before it sums it.
     return lambda strip: resample_cube(strip, w, allow_nan=args.allow_nan), None, srf_inputs, extra
 
 
@@ -159,23 +172,6 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     sensor_raw, sensor_text = _read_text(sensor_path)
     sensor_digest = hashlib.sha256(sensor_raw).hexdigest()
     spec = parse_sensor_spec(sensor_text)
-    in_hash = hashlib.sha256()
-    with in_path.open("rb") as f:
-        # resample_cube checks SRF strips for non-finite values itself.
-        src = CubeReader(f, allow_non_finite=args.allow_nan or args.method == "srf", hasher=in_hash)
-        adapt, strip_bytes, srf_inputs, extra = _plan(args, spec, WavelengthGrid(src.wavelengths))
-        with atomic_file(out_path) as out:
-            dst = CubeWriter(out, src.height)
-            for strip in src.strips(rows=src.strip_rows(strip_bytes)):
-                dst.write(adapt(strip))
-                del strip  # so the next strip is decoded while none is held
-            out_digest = dst.hexdigest()
-
-    inputs = {
-        str(in_path): in_hash.hexdigest(),
-        str(sensor_path): sensor_digest,
-        **srf_inputs,
-    }
     params = {
         "method": args.method,
         "sensor": str(sensor_path),
@@ -184,7 +180,18 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         "srf": args.srf,
         "allow_nan": args.allow_nan,
     }
-    _write_manifest(out_path, out_digest, "adapt", params, inputs, extra, started)
+    in_hash = hashlib.sha256()
+    with in_path.open("rb") as f:
+        src = CubeReader(f, allow_non_finite=True, hasher=in_hash)  # the plan checks strips
+        adapt, strip_bytes, srf_inputs, extra = _plan(args, spec, WavelengthGrid(src.wavelengths))
+        with atomic_files(out_path, _manifest_path(out_path)) as (out, manifest):
+            dst = CubeWriter(out, src.height)
+            for strip in src.strips(rows=src.strip_rows(strip_bytes)):
+                dst.write(adapt(strip))
+                del strip  # so the next strip is decoded while none is held
+            inputs = {str(in_path): in_hash.hexdigest(), str(sensor_path): sensor_digest}
+            _write_manifest(manifest, out_path, dst.hexdigest(), "adapt", params,
+                            inputs | srf_inputs, extra, started)
     return EXIT_OK
 
 
@@ -300,12 +307,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         cube = gen_random_cube(args.height, args.width, grid, args.seed)
     out_path = Path(args.output)
-    with atomic_file(out_path) as f:
+    with atomic_files(out_path, _manifest_path(out_path)) as (f, manifest):
         dst = CubeWriter(f, cube.height)
         dst.write(cube)  # the whole cube as one strip, written without a copy
-        digest = dst.hexdigest()
-    params = {k: v for k, v in vars(args).items() if k not in ("func",)}
-    _write_manifest(out_path, digest, "synth", params, {}, {}, started)
+        params = {k: v for k, v in vars(args).items() if k not in ("func",)}
+        _write_manifest(manifest, out_path, dst.hexdigest(), "synth", params, {}, {}, started)
     return EXIT_OK
 
 

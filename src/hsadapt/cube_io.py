@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import io
 import json
+import math
 import os
 import struct
 import threading
@@ -120,15 +122,39 @@ STRIP_BYTES = 16 * 1024 * 1024
 MAX_HEADER_BYTES = 1024 * 1024
 
 
+# Pixels per np.isfinite call in `require_finite`, so that a check's boolean
+# mask is at most 512 × bands bytes (101 KiB at 202 bands), whatever the strip.
+FINITE_CHECK_PIXELS = 512
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """np.all(np.isfinite(x)) for pixel data (band axis last), taken over
+    slices of the leading axis of at most FINITE_CHECK_PIXELS pixels each.
+    A slice keeps x's shape, so a small strip is checked in one call."""
+    pixels = math.prod(x.shape[1:-1])  # per item of the leading axis
+    if pixels > FINITE_CHECK_PIXELS:
+        return all(_all_finite(item) for item in x)
+    step = FINITE_CHECK_PIXELS // pixels
+    return all(np.isfinite(x[i : i + step]).all() for i in range(0, len(x), step))
+
+
+def require_finite(x: np.ndarray, flag: str) -> None:
+    """Raise ValidationError, naming the option that would accept them, if
+    the pixel data x holds NaN or infinity."""
+    if not _all_finite(x):
+        raise ValidationError(f"cube contains non-finite values (pass {flag} to accept)")
+
+
 def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _read_header(f: BinaryIO, magic: bytes) -> tuple[dict, bytes, int]:
-    """Read and check a container's magic, version, header length and JSON header.
+def _read_header(f: BinaryIO, magic: bytes) -> tuple[bytes, int]:
+    """Read a container's magic, version, header length and header, and check
+    all but the header's JSON, which starts at byte 12 of what was read.
 
-    Returns the header object, the bytes consumed, and the payload length
-    left in the stream, measured without reading it.
+    Returns the bytes consumed and the payload length left in the stream,
+    measured without reading it.
     """
     if not f.seekable():
         raise FormatError("input must be a seekable file, not a pipe")
@@ -150,8 +176,7 @@ def _read_header(f: BinaryIO, magic: bytes) -> tuple[dict, bytes, int]:
         )
     if 12 + hlen > size:
         raise FormatError(f"declared header length {hlen} exceeds stream size")
-    raw = f.read(hlen)
-    return json_object(raw, "header"), prefix + raw, size - 12 - hlen
+    return prefix + f.read(hlen), size - 12 - hlen
 
 
 def _header_dims(header: dict, dims: tuple[str, ...], dtype: str) -> tuple[int, ...]:
@@ -267,7 +292,8 @@ class CubeReader:
         self._f = f
         self._allow_non_finite = allow_non_finite
         self._hasher = hasher
-        header, head, payload_len = _read_header(f, CUBE_MAGIC)
+        head, payload_len = _read_header(f, CUBE_MAGIC)
+        header = json_object(head[12:], "header")
         h, w, c = _header_dims(header, ("h", "w", "c"), "f32le")
         if header.get("layout") != "bip":
             raise FormatError(f"unsupported layout {header.get('layout')!r}")
@@ -325,10 +351,8 @@ class CubeReader:
             got += n
         if digest is not None:
             digest.feed(buf)
-        if not self._allow_non_finite and not np.all(np.isfinite(data)):
-            raise ValidationError(
-                "cube contains non-finite values (pass allow_non_finite to accept)"
-            )
+        if not self._allow_non_finite:
+            require_finite(data, "allow_non_finite")
         return HyperCube(data=data, wavelengths=self.wavelengths)
 
 
@@ -382,42 +406,69 @@ def write_cube(cube: HyperCube) -> bytes:
 
 
 @contextlib.contextmanager
-def atomic_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
-    """Open a new file beside `path` that replaces it only when the block exits
-    cleanly. On any exception the partial file is removed and `path` is left
-    as it was."""
-    path = Path(path)
-    if path.is_dir():  # refused before the caller reads or computes anything
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+def atomic_files(*paths: str | os.PathLike) -> Iterator[list[BinaryIO]]:
+    """Open a new file beside each path; they replace the paths only when the
+    block exits cleanly. Every new file is closed first. Then every path but
+    the first is removed, and the new files are renamed into place in order.
+    On any exception the new files that were not renamed are removed. So a
+    failed commit of an output and its manifest leaves the old pair, the old
+    or new output with no manifest, or the new pair: never an output beside
+    another run's manifest."""
+    paths = [Path(p) for p in paths]
+    for path in paths:
+        if path.is_dir():  # refused before the caller reads or computes anything
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    tmps, files = [], []
     try:
-        f = open(tmp, "xb")
-    except OSError as e:  # named for the path the caller gave, not its temporary file
-        raise OSError(e.errno, e.strerror, str(path)) from None
-    try:
-        with f:
-            yield f
-        os.replace(tmp, path)  # its error names both files
+        for path in paths:
+            tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+            try:
+                files.append(open(tmp, "xb"))
+            except OSError as e:  # named for the path the caller gave, not its temporary file
+                raise OSError(e.errno, e.strerror, str(path)) from None
+            tmps.append(tmp)
+        try:
+            yield files
+        finally:
+            for f in files:
+                f.close()
+        for path in paths[1:]:
+            path.unlink(missing_ok=True)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)  # its error names both files
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for f, tmp in zip(files, tmps):
+            f.close()
+            tmp.unlink(missing_ok=True)
         raise
 
 
-def read_mask(stream: bytes | BinaryIO) -> LabelMask:
-    """Decode an HSM-v1 stream, given as bytes or as a seekable binary file.
-    The header is checked before the payload is read. The labels are a
-    read-only view of the payload read."""
-    f = io.BytesIO(stream) if isinstance(stream, (bytes, bytearray, memoryview)) else stream
-    header, _, payload_len = _read_header(f, MASK_MAGIC)
+# A run's masks share one header or a few, and every header cached is kept
+# whole, so at most 4 MiB of them is held.
+@functools.lru_cache(maxsize=4)
+def _mask_header(head: bytes) -> tuple[int, int, int]:
+    """A mask header's height, width and ignore value, decoded and checked
+    once per distinct header. A header that fails raises on every call, since
+    lru_cache keeps no exception."""
+    header = json_object(head[12:], "header")
     h, w = _header_dims(header, ("h", "w"), "i16le")
     ignore = header.get("ignore_value", -1)
     if not _is_int(ignore):
         raise FormatError("ignore_value must be an integer")
+    return h, w, ignore
+
+
+def read_mask(stream: bytes | BinaryIO) -> LabelMask:
+    """Decode an HSM-v1 stream, given as bytes or as a seekable binary file.
+    The header is checked before the payload is read, and the payload is read
+    straight into the label array."""
+    f = io.BytesIO(stream) if isinstance(stream, (bytes, bytearray, memoryview)) else stream
+    head, payload_len = _read_header(f, MASK_MAGIC)
+    h, w, ignore = _mask_header(head)
     _check_payload(payload_len, h * w * 2)
-    payload = f.read(payload_len)
-    _check_payload(len(payload), payload_len)  # a file that shrank since
-    labels = np.frombuffer(payload, dtype="<i2", count=h * w)
-    return LabelMask(labels=labels.reshape(h, w), ignore_value=ignore)
+    labels = np.empty((h, w), dtype="<i2")
+    _check_payload(f.readinto(_bytes_of(labels)), payload_len)  # a file that shrank since
+    return LabelMask(labels=labels, ignore_value=ignore)
 
 
 def write_mask(mask: LabelMask) -> bytes:

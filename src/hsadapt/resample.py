@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_io import HyperCube
+from .cube_io import HyperCube, require_finite
 from .errors import EmptySupportError, GridMismatchError, ValidationError
 from .spectral import SensorSpec, SrfTable, WavelengthGrid, _sample_srf, wavelength_digest
 
@@ -141,9 +141,8 @@ def resample_cube(
 
     def run_block(p0: int) -> None:
         x = pixels[p0 : p0 + tile * tile]  # a run may cross the end of a row
-        # Checked a run at a time, so the check's mask is a run's, not the strip's.
-        if not allow_nan and not np.all(np.isfinite(x)):
-            raise ValidationError("cube contains non-finite values (pass allow_nan to accept)")
+        if not allow_nan:  # checked just before the run is summed, in small pieces
+            require_finite(x, "allow_nan")
         # Each pixel of band k sums x[j]*w[j, k] over its supported j in ascending
         # order whatever the run length or thread count, so output bytes never
         # change (BLAS gemm would not fix the order). An unsupported band is never

@@ -219,43 +219,63 @@ def _loadtxt(lines: list[str], width: int) -> np.ndarray | None:
 
 def read_numeric_csv(
     text: str, what: str, key: str, text_key: bool = False
-) -> tuple[list[str], list[str], np.ndarray]:
+) -> tuple[list[str], list[str] | None, np.ndarray]:
     """Read a CSV whose header starts with `key`, skipping blank lines; errors name
     the physical line. A cell is a number exactly when np.loadtxt reads it as float64.
-    Returns the column names after the key, the key cells, and the numeric cells as
-    an N×M array: all columns, or those after the key when `text_key` is set."""
+    Returns the column names after the key, the key cells (None unless `text_key`
+    is set), and the numeric cells as an N×M array: all columns, or those after
+    the key when `text_key` is set.
+
+    Each row is checked and joined as it is read, so the table's cells are never
+    all held as strings at once. Every line is still read before a fault is
+    reported, so an unreadable line is reported before any other fault, and
+    ragged rows before non-numeric cells."""
     import csv  # only the commands that read a CSV load it
 
     reader = csv.reader(io.StringIO(text))
-    try:
-        rows = [(reader.line_num, r) for r in reader if r]
-    except csv.Error as e:
-        raise FormatError(f"unreadable {what}: {e}") from None
-    if not rows:
-        raise FormatError(f"empty {what}")
-    header = [h.strip() for h in rows[0][1]]
+
+    def read_rows():
+        try:
+            yield from (r for r in reader if r)
+        except csv.Error as e:
+            raise FormatError(f"unreadable {what}: {e}") from None
+
+    rows = read_rows()
+
+    def refuse(message: str):
+        for _ in rows:  # the rest is read: a later unreadable line is reported instead
+            pass
+        raise FormatError(message)
+
+    header = [h.strip() for h in next(rows, [])]
+    if not header:
+        refuse(f"empty {what}")
     if len(header) < 2 or header[0] != key:
-        raise FormatError(f'{what} header must be "{key},<column>,..."')
+        refuse(f'{what} header must be "{key},<column>,..."')
     named = set()
     for name in header:
         if name in named:
-            raise FormatError(f"{what} header repeats column {name!r}")
+            refuse(f"{what} header repeats column {name!r}")
         named.add(name)
-    data = rows[1:]
-    if not data:
-        raise FormatError(f"{what} has a header but no data rows")
     cells = len(header)
-    for n, row in data:
-        if len(row) != cells:
-            raise FormatError(f"{what} line {n}: ragged row, {len(row)} cells, expected {cells}")
     skip = int(text_key)
-    width = cells - skip
-    lines = [",".join(r[skip:]) for _, r in data]
-    values = _loadtxt(lines, width)
-    if values is None:  # the same conversion, row by row, finds the line to report
-        bad = next(n for (n, _), line in zip(data, lines) if _loadtxt([line], width) is None)
-        raise FormatError(f"{what} line {bad}: non-numeric cell")
-    return header[1:], [r[0] for _, r in data], values
+    keys = [] if text_key else None
+    lines = []
+    for row in rows:
+        if len(row) != cells:
+            refuse(f"{what} line {reader.line_num}: ragged row, {len(row)} cells, expected {cells}")
+        lines.append(",".join(row[skip:]))
+        if text_key:
+            keys.append(row[0])
+    if not lines:
+        raise FormatError(f"{what} has a header but no data rows")
+    values = _loadtxt(lines, cells - skip)
+    if values is None:  # the same conversion, row by row, finds the row to report
+        bad = next(i for i, line in enumerate(lines) if _loadtxt([line], cells - skip) is None)
+        again = csv.reader(io.StringIO(text))
+        line_nums = [again.line_num for r in again if r]  # the header's, then each row's
+        raise FormatError(f"{what} line {line_nums[bad + 1]}: non-numeric cell")
+    return header[1:], keys, values
 
 
 def _is_name(v: object) -> bool:
@@ -289,7 +309,8 @@ def parse_srf_table(text: str, spec: SensorSpec) -> SrfTable:
     if missing:
         raise ValidationError(f"SRF table missing column(s) for band(s): {missing}")
     col_index = {name: i + 1 for i, name in enumerate(columns)}
-    sens = data[:, [col_index[name] for name in spec.band_names]].T
+    # Column views, not a copy: SrfTable makes the one copy it keeps.
+    sens = [data[:, col_index[name]] for name in spec.band_names]
     return SrfTable(
         grid=tuple(data[:, 0].tolist()), sensitivities=sens, band_names=tuple(spec.band_names)
     )

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -595,3 +596,101 @@ def test_readme_commands_parse(monkeypatch):
             pytest.fail(f"README command is a usage error: {command}")
         assert rc == 0, command
     assert len(ran) == len(commands)
+
+
+PAIR_WRITERS = {
+    "adapt": lambda d, cube, seed: adapt_argv(d, cube),
+    "synth": lambda d, cube, seed: [
+        "synth", "random", "--height", "2", "--width", "2", "--seed", str(seed),
+        "--output", str(d / "o.hsc")],
+}
+
+
+def write_pair(name: str, d: Path, cube: Path, seed: int) -> list[str]:
+    """The argv of a run of `name` whose output depends on `seed`; for adapt
+    the input cube is rewritten from it."""
+    if name == "adapt":
+        cube.write_bytes(write_cube(gen_random_cube(16, 16, GRID_202, seed=seed)))
+    return PAIR_WRITERS[name](d, cube, seed)
+
+
+def pair(d: Path) -> tuple[bytes | None, bytes | None]:
+    """The output's and its manifest's bytes, None for a missing file."""
+    out, manifest = d / "o.hsc", d / "o.hsc.manifest.json"
+    return tuple(p.read_bytes() if p.exists() else None for p in (out, manifest))
+
+
+def failing_replace(monkeypatch, fail_at: int) -> list[str]:
+    """Make the `fail_at`-th os.replace (from 1) raise; record every target."""
+    targets, replace = [], os.replace
+
+    def counted(src, dst):
+        targets.append(Path(dst).name)
+        if len(targets) == fail_at:
+            raise OSError(errno.EIO, "rename failed")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counted)
+    return targets
+
+
+def failing_manifest(monkeypatch) -> None:
+    def full_disk(f, *args):
+        f.write(b'{"tool": "hsad')
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(hsadapt.cli, "_write_manifest", full_disk)
+
+
+@pytest.mark.parametrize("fail_at", ["manifest-write", "output-rename", "manifest-rename"])
+@pytest.mark.parametrize("name", sorted(PAIR_WRITERS))
+def test_output_and_manifest_commit_as_a_pair(tmp_path, cube_file, monkeypatch, name, fail_at):
+    """Both files are written and closed before either is renamed; then the
+    old manifest is removed, the output renamed, and the manifest renamed
+    last. So a failure leaves the old pair, an output with no manifest, or
+    the new pair, never an output beside another run's manifest, and no
+    temporary file."""
+    assert main(write_pair(name, tmp_path, cube_file, seed=1)) == 0
+    old = pair(tmp_path)
+    assert None not in old
+    argv = write_pair(name, tmp_path, cube_file, seed=2)
+    with monkeypatch.context() as m:
+        if fail_at == "manifest-write":
+            failing_manifest(m)
+        else:
+            targets = failing_replace(m, fail_at=1 if fail_at == "output-rename" else 2)
+        assert main(argv) == 1
+    failed = pair(tmp_path)
+    assert not list(tmp_path.glob(".*.tmp"))
+    if fail_at != "manifest-write":
+        assert targets == ["o.hsc", "o.hsc.manifest.json"][: len(targets)]
+    assert main(argv) == 0
+    new = pair(tmp_path)
+    assert new[0] != old[0]
+    assert failed == {
+        "manifest-write": old,
+        "output-rename": (old[0], None),
+        "manifest-rename": (new[0], None),
+    }[fail_at]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_WRITERS))
+def test_a_manifest_path_that_is_a_directory_is_refused_first(
+    tmp_path, cube_file, capsys, monkeypatch, name
+):
+    """The manifest path is checked with the output path: a directory there
+    exits 1 naming it, before adapt reads a strip, and the old output stays."""
+    assert main(write_pair(name, tmp_path, cube_file, seed=1)) == 0
+    old = (tmp_path / "o.hsc").read_bytes()
+    manifest = tmp_path / "o.hsc.manifest.json"
+    manifest.unlink()
+    manifest.mkdir()
+
+    def unread(self, *args):
+        raise AssertionError("the input payload was read")
+
+    monkeypatch.setattr(CubeReader, "strips", unread)
+    assert main(write_pair(name, tmp_path, cube_file, seed=2)) == 1
+    assert capsys.readouterr().err.endswith(f"Is a directory: {str(manifest)!r}\n")
+    assert (tmp_path / "o.hsc").read_bytes() == old
+    assert not list(tmp_path.glob(".*.tmp"))

@@ -6,10 +6,13 @@ import os
 import struct
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsadapt.cli import main
 from hsadapt.cube_io import (
@@ -21,10 +24,12 @@ from hsadapt.cube_io import (
     read_cube,
     read_mask,
     read_targets_csv,
+    require_finite,
     write_cube,
     write_mask,
 )
 from hsadapt.errors import FormatError, ValidationError
+from hsadapt.resample import WeightMatrix, resample_cube
 from hsadapt.spectral import WavelengthGrid
 
 SENSOR = str(Path(__file__).resolve().parents[1] / "configs" / "sentinel2_l2a_12band.json")
@@ -274,6 +279,59 @@ def test_wavelengths_may_be_any_sequence():
         cube = HyperCube(data=data, wavelengths=given)
         assert cube.wavelengths == (500.0, 600.0) == WavelengthGrid(given).values
         assert cube.grid_digest() == WavelengthGrid(given).digest() == cube.grid.digest()
+
+
+# Pixel data whose finiteness checks meet every edge: 512-pixel pieces, 64²-pixel
+# kernel runs, rows wider than a piece, and a strip smaller than one.
+FINITE_SHAPES = [(4097, 3), (1, 4097, 2), (1025, 2, 3), (3, 600, 2), (2, 513, 1), (9, 57, 2), (1, 1, 1)]
+EDGE_PIXELS = [0, 511, 512, 1023, 1024, 1199, 1200, 4095, 4096]
+# float32 bit patterns: quiet NaN, signalling NaN, negative NaN, ±inf, and the
+# finite -0.0, largest value and smallest subnormal.
+SPECIAL_BITS = [0x7FC00000, 0x7FA00001, 0xFFC00001, 0x7F800000, 0xFF800000,
+                0x80000000, 0x7F7FFFFF, 0x00000001]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_finiteness_check_agrees_with_numpy(data):
+    """require_finite raises exactly when np.all(np.isfinite(x)) is False, for
+    the reader's strips and the kernel's runs, and warns of nothing."""
+    shape = data.draw(st.sampled_from(FINITE_SHAPES))
+    pixels = math.prod(shape[:-1])
+    x = np.full(shape, 0.5, dtype=np.float32)
+    bits = x.view(np.uint32).reshape(pixels, shape[-1])
+    at = st.one_of(st.sampled_from([p for p in EDGE_PIXELS if p < pixels] + [pixels - 1]),
+                   st.integers(0, pixels - 1))
+    for _ in range(data.draw(st.integers(0, 3))):
+        band = data.draw(st.integers(0, shape[-1] - 1))
+        bits[data.draw(at), band] = data.draw(st.sampled_from(SPECIAL_BITS))
+    finite = bool(np.all(np.isfinite(x)))
+    wavelengths = tuple(500.0 + i for i in range(shape[-1]))
+    w = WeightMatrix(weights=np.full((shape[-1], 1), 1.0 / shape[-1]), band_names=("B",),
+                     band_centers=(500.0,), source_wavelengths=wavelengths)
+    cube = HyperCube(data=x.reshape(1, -1, shape[-1]) if x.ndim == 2 else x, wavelengths=wavelengths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (lambda: require_finite(x, "f"), lambda: resample_cube(cube, w)):
+            if finite:
+                check()
+            else:
+                with pytest.raises(ValidationError, match="non-finite"):
+                    check()
+
+
+@pytest.mark.parametrize("shape", FINITE_SHAPES)
+def test_finiteness_check_takes_at_most_512_pixels_at_a_time(monkeypatch, shape):
+    checked, isfinite = [], np.isfinite
+
+    def counting(x, *args, **kwargs):
+        checked.append(x.shape)
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    require_finite(np.zeros(shape, dtype=np.float32), "f")
+    assert sum(math.prod(s) for s in checked) == math.prod(shape)
+    assert max(math.prod(s[:-1]) for s in checked) <= 512
 
 
 class TestCubeWriter:

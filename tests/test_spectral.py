@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +16,7 @@ from hsadapt.spectral import (
     srf_evaluate,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SPEC_2BAND = '{"sensor": "demo", "bands": [{"name": "B04", "center_nm": 665}, {"name": "B8A", "center_nm": 865}]}'
 
 
@@ -122,6 +126,29 @@ class TestParseSrfTable:
         table = parse_srf_table("wavelength_nm,B1,B2\n490,0.1,0.9\n610,0.2,0.8\n", spec)
         assert table.band_names == ("B2", "B1")
         assert table.sensitivities[0].tolist() == [0.9, 0.8]
+
+    def test_parse_holds_the_table_once(self):
+        """The configs/ SRF (2,101 rows × 13 columns, 96 KB) is read a row at a
+        time and its sensitivities copied once. Holding every cell as a string
+        at once, or copying the sensitivities twice, peaks at 1.6 MB."""
+        spec = parse_sensor_spec((CONFIGS / "sentinel2_l2a_12band.json").read_text())
+        text = (CONFIGS / "sentinel2_l2a_gaussian_srf.csv").read_text()
+        parse_srf_table(text, spec)  # the imports it makes are not counted
+        tracemalloc.start()
+        try:
+            table = parse_srf_table(text, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.sensitivities.shape == (12, 2101)
+        assert peak < 1 << 20, f"peak {peak / (1 << 20):.2f} MiB"
+
+    def test_table_keeps_its_own_read_only_copy(self):
+        sens = np.array([[0.5, 1.0, 0.5]])
+        table = SrfTable(grid=(490.0, 500.0, 510.0), sensitivities=sens, band_names=("B1",))
+        sens[0, 0] = 9.0
+        assert table.sensitivities.tolist() == [[0.5, 1.0, 0.5]]
+        assert table.sensitivities.flags.c_contiguous and not table.sensitivities.flags.writeable
 
     def test_tables_compare_by_value(self):
         """Sensitivities are an array, but tables still compare by value: a

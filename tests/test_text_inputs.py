@@ -81,6 +81,41 @@ def test_errors_name_the_physical_line(parse, text):
         parse(text.replace(",x\n", ",1,2\n"))
 
 
+CSV_READERS = {
+    "targets": (read_targets_csv, "sample_id,K"),
+    "srf": (lambda t: parse_srf_table(t, SPEC_B1), "wavelength_nm,B1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_READERS))
+def test_line_numbers_count_blank_and_quoted_lines(name):
+    """A reported line is the physical line that ends the row: blank lines
+    count, and so does each line of a quoted cell that spans lines."""
+    parse, header = CSV_READERS[name]
+    text = f'{header}\n\n490,1\n\n\n"500",1\n\n510,"2\n"\n520,x\n'
+    with pytest.raises(FormatError, match="line 10: non-numeric cell"):
+        parse(text)
+    with pytest.raises(FormatError, match="line 10: ragged row"):
+        parse(text.replace("520,x", "520,1,1"))
+
+
+@pytest.mark.parametrize("name", sorted(CSV_READERS))
+def test_csv_faults_are_reported_in_grammar_order(name):
+    """Every line is read before any fault is reported. So an unreadable line
+    comes before a bad header or a ragged row, and a ragged row before a
+    non-numeric cell on an earlier line."""
+    parse, header = CSV_READERS[name]
+    huge = "1" * 200_000  # past the csv module's field size limit
+    with pytest.raises(FormatError, match="line 4: ragged row"):
+        parse(f"{header}\n490,x\n500,1\n510,1,1\n520,y\n")
+    with pytest.raises(FormatError, match="unreadable"):
+        parse(f"{header}\n490,1,1\n500,{huge}\n")
+    with pytest.raises(FormatError, match="unreadable"):
+        parse(f"wrong,B1\n490,1\n500,{huge}\n")
+    with pytest.raises(FormatError, match="line 3: non-numeric cell"):
+        parse(f"{header}\n490,1\n500,x\n510,y\n")
+
+
 def test_configs_srf_table_reads_as_float_does():
     text = (REPO / "configs" / "sentinel2_l2a_gaussian_srf.csv").read_text()
     spec = parse_sensor_spec(
