@@ -135,7 +135,7 @@ def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> t
 
         def select(strip):
             if not args.allow_nan:
-                require_finite(strip.data, "allow_non_finite")
+                require_finite(strip.data, "--allow-nan")
             return apply_selection(strip, plan)
 
         # Strips of at most 1 MiB: the reader holds two small strips while
@@ -182,7 +182,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     }
     in_hash = hashlib.sha256()
     with in_path.open("rb") as f:
-        src = CubeReader(f, allow_non_finite=True, hasher=in_hash)  # the plan checks strips
+        src = CubeReader(f, hasher=in_hash)  # the plan checks finiteness
         adapt, strip_bytes, srf_inputs, extra = _plan(args, spec, WavelengthGrid(src.wavelengths))
         with atomic_files(out_path, _manifest_path(out_path)) as (out, manifest):
             dst = CubeWriter(out, src.height)
@@ -195,25 +195,29 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _chip_files(d: str) -> dict[str, str]:
-    """The directory's `*.hsm` entries by stem, from one listing."""
-    # A bare ".hsm" is its own stem, as with Path.stem.
-    return {name[:-4] or name: name for name in os.listdir(d) if name.endswith(".hsm")}
+def _stem(name: str) -> str:
+    """A mask file's chip name; a bare ".hsm" is its own stem, as with Path.stem."""
+    return name[:-4] or name
 
 
-def _paired_masks(pred_dir: str, truth_dir: str) -> list[tuple[str, str, str]]:
-    """(stem, prediction path, truth path) for every chip, in stem order."""
-    preds = _chip_files(pred_dir)
-    truths = _chip_files(truth_dir)
-    missing = sorted(preds.keys() ^ truths.keys())
+def _mask_names(d: str) -> set[str]:
+    """The directory's `*.hsm` entries, from one listing."""
+    return {name for name in os.listdir(d) if name.endswith(".hsm")}
+
+
+def _paired_masks(pred_dir: str, truth_dir: str) -> list[str]:
+    """The `*.hsm` names both directories hold, in stem order. The caller
+    joins a name to each directory when it reads that pair."""
+    preds = _mask_names(pred_dir)
+    truths = _mask_names(truth_dir)
+    missing = sorted(map(_stem, preds ^ truths))
     if missing:
         raise ValidationError(f"unpaired chip file(s): {missing}")
     if not preds:
         raise ValidationError("no .hsm files found to score")
-    return [
-        (s, os.path.join(pred_dir, preds[s]), os.path.join(truth_dir, truths[s]))
-        for s in sorted(preds)
-    ]
+    del truths  # before the sort makes its keys
+    # By name first, so the two names with stem ".hsm" keep one order.
+    return sorted(sorted(preds), key=_stem)
 
 
 def _read_chip(path: str) -> LabelMask:
@@ -229,10 +233,12 @@ def _read_chip(path: str) -> LabelMask:
 def cmd_metrics_seg(args: argparse.Namespace) -> int:
     from .metrics import ConfusionMatrix, accumulate_confusion, miou
 
-    pairs = _paired_masks(args.pred_dir, args.truth_dir)
+    names = _paired_masks(args.pred_dir, args.truth_dir)
     acc = ConfusionMatrix(n_classes=args.classes)
     per_chip = []
-    for stem, pred_path, truth_path in pairs:
+    for name in names:
+        pred_path = os.path.join(args.pred_dir, name)
+        truth_path = os.path.join(args.truth_dir, name)
         pred = _read_chip(pred_path)
         truth = _read_chip(truth_path)
         try:
@@ -248,15 +254,15 @@ def cmd_metrics_seg(args: argparse.Namespace) -> int:
         except ValidationError as e:
             raise ValidationError(f"{pred_path} vs {truth_path}: {e}") from None
         if args.per_chip:
-            per_chip.append({"chip": stem, "miou": miou(chip).to_dict()["miou"]})
+            per_chip.append({"chip": _stem(name), "miou": miou(chip).to_dict()["miou"]})
             acc = acc.merge(chip)
     report = miou(acc).to_dict()
     report["ignored_pixels"] = acc.ignored_pixels
-    report["chips"] = len(pairs)
+    report["chips"] = len(names)
     if args.per_chip:
         report["per_chip"] = per_chip
         report["per_chip_mean_miou"] = float(np.mean([c["miou"] for c in per_chip]))
-    text = [f"chips scored: {len(pairs)}", f"mIoU (pooled): {report['miou']:.6f}"]
+    text = [f"chips scored: {len(names)}", f"mIoU (pooled): {report['miou']:.6f}"]
     _emit_report(report, text, args.out)
     return EXIT_OK
 
@@ -319,7 +325,7 @@ def _cube_report(f: BinaryIO) -> dict:
     """Per-band min, max and mean of an HSC-v1 stream, folded over its row
     strips so memory stays bounded by one strip. NaNs are skipped; a band with
     no other value reports NaN."""
-    src = CubeReader(f, allow_non_finite=True)
+    src = CubeReader(f)
     lo = np.full(src.bands, np.nan, dtype=np.float32)
     hi = lo.copy()
     total = np.zeros(src.bands, dtype=np.float64)

@@ -286,11 +286,13 @@ class CubeReader:
     hold at most STRIP_BYTES of payload, or one strip if a strip is larger,
     when the consumer drops each strip (and every view of it) before asking
     for the next; one that keeps its loop variable bound holds one strip more.
+
+    Strips may hold NaN and infinity; a caller that refuses them checks each
+    strip itself (`read_cube`, the naive plan and the srf kernel do).
     """
 
-    def __init__(self, f: BinaryIO, allow_non_finite: bool = False, hasher=None):
+    def __init__(self, f: BinaryIO, hasher=None):
         self._f = f
-        self._allow_non_finite = allow_non_finite
         self._hasher = hasher
         head, payload_len = _read_header(f, CUBE_MAGIC)
         header = json_object(head[12:], "header")
@@ -351,15 +353,15 @@ class CubeReader:
             got += n
         if digest is not None:
             digest.feed(buf)
-        if not self._allow_non_finite:
-            require_finite(data, "allow_non_finite")
         return HyperCube(data=data, wavelengths=self.wavelengths)
 
 
 def read_cube(stream: bytes, allow_non_finite: bool = False) -> HyperCube:
     """Decode a whole in-memory HSC-v1 stream as one strip."""
-    src = CubeReader(io.BytesIO(stream), allow_non_finite)
+    src = CubeReader(io.BytesIO(stream))
     (cube,) = src.strips(rows=src.height)
+    if not allow_non_finite:
+        require_finite(cube.data, "allow_non_finite")
     return cube
 
 

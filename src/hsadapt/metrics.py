@@ -84,12 +84,14 @@ def _bin_offsets(n_classes: int, ignore_value: int) -> tuple[np.ndarray, np.ndar
     n = n_classes
     bins = (n + 2) * (n + 1)
     dtype = np.int16 if bins <= 1 << 15 else np.int32 if bins <= 1 << 31 else np.int64
-    labels = np.arange(1 << 16, dtype=np.uint16).view(np.int16).astype(dtype)
-    in_range = (labels >= 0) & (labels < n)
-    rows = np.where(in_range, labels, n + 1)
-    rows[labels == ignore_value] = n  # an ignore value outside int16 matches nothing
-    rows *= n + 1
-    cols = np.where(in_range, labels, n)
+    # Index i is the label whose 16-bit pattern is i: 0..32767, then -32768..-1.
+    # Each table starts as its out-of-range bin; labels 0..n-1 are its first n.
+    rows = np.full(1 << 16, (n + 1) * (n + 1), dtype=dtype)
+    rows[:n] = np.arange(0, n * (n + 1), n + 1, dtype=dtype)
+    if -(1 << 15) <= ignore_value < 1 << 15:  # an ignore value outside int16 matches nothing
+        rows[ignore_value & 0xFFFF] = n * (n + 1)
+    cols = np.full(1 << 16, n, dtype=dtype)
+    cols[:n] = np.arange(n, dtype=dtype)
     for t in (rows, cols):
         t.setflags(write=False)
     return rows, cols

@@ -67,6 +67,21 @@ class TestAdapt:
         assert nan[1, 2].any() and not nan[0].any()
         assert np.all(got[nan].view(np.uint32) == 0x7FC00000)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_refusing_a_non_finite_cube_names_the_cli_flag(self, tmp_path, capsys, value):
+        """Without --allow-nan, naive refuses a NaN or infinite pixel, and its
+        message names the option a user can pass; with it, both methods run."""
+        data = gen_random_cube(4, 4, GRID_202, seed=0).data.copy()
+        data[2, 1, 30] = value
+        src = tmp_path / "bad.hsc"
+        src.write_bytes(write_cube(HyperCube(data=data, wavelengths=GRID_202.values)))
+        assert main(adapt_argv(tmp_path, src)) == 1
+        err = capsys.readouterr().err
+        assert err == "hsadapt: error: cube contains non-finite values (pass --allow-nan to accept)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [src.name]
+        for srf in (None, SRF):
+            assert main(adapt_argv(tmp_path, src, srf=srf) + ["--allow-nan"]) == 0
+
     def test_srf_without_table_is_usage_error(self, tmp_path, cube_file):
         with pytest.raises(SystemExit) as e:
             main(["adapt", "--method", "srf", "--sensor", SENSOR,
@@ -256,9 +271,36 @@ class TestMetricsSeg:
             for name in names:
                 (d / name).write_bytes(b"")
             (d / "dir.hsm").mkdir()
-        want = [(p.stem, str(p), str(tmp_path / "truth" / p.name))
-                for p in sorted((tmp_path / "pred").glob("*.hsm"), key=lambda p: p.stem)]
+        want = [p.name for p in sorted((tmp_path / "pred").glob("*.hsm"), key=lambda p: p.stem)]
         assert _paired_masks(str(tmp_path / "pred"), str(tmp_path / "truth")) == want
+
+    def test_names_that_share_a_stem_are_two_chips(self, tmp_path, capsys):
+        """`.hsm` and `.hsm.hsm` both have the stem `.hsm`; each is its own chip."""
+        self.write_masks(tmp_path / "pred", {"": [[0, 1]], ".hsm": [[1, 1]]})
+        self.write_masks(tmp_path / "truth", {"": [[0, 1]], ".hsm": [[1, 0]]})
+        assert main(self.seg_argv(tmp_path, "2", "--per-chip")) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["chips"] == 2
+        assert [c["chip"] for c in report["per_chip"]] == [".hsm", ".hsm"]
+        assert [c["miou"] for c in report["per_chip"]] == [1.0, 0.25]
+
+    def test_pairing_holds_names_not_paths(self, tmp_path):
+        """Pairing 1,000 chips keeps their names and little else."""
+        for d in (tmp_path / "pred", tmp_path / "truth"):
+            d.mkdir()
+            for i in range(1000):
+                (d / f"chip_{i:04d}.hsm").write_bytes(b"")
+        dirs = (str(tmp_path / "pred"), str(tmp_path / "truth"))
+        _paired_masks(*dirs)  # once first, so one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            names = _paired_masks(*dirs)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert names == [f"chip_{i:04d}.hsm" for i in range(1000)]
+        assert retained <= 120 * 1024
+        assert peak <= 350 * 1024
 
     def test_truth_header_ignore_value_is_the_default(self, tmp_path, capsys):
         """Without --ignore each truth chip's own ignore_value is dropped; an

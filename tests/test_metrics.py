@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hsadapt.cube_io import LabelMask
 from hsadapt.errors import DegenerateBaselineError, ValidationError
 from hsadapt.metrics import (
     ConfusionMatrix,
+    _bin_offsets,
     accumulate_confusion,
     baseline_mse,
     miou,
@@ -77,6 +80,33 @@ class TestAccumulateConfusion:
             oc, oi = confusion_tally(pred_arr.tolist(), truth_arr.tolist(), 4, -1)
             assert np.array_equal(acc.counts, oc)
             assert acc.ignored_pixels == oi
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 179, 180, 300, 2048, 32768])
+@pytest.mark.parametrize("ignore", [-1, 0, 1, -(2**15), 2**15 - 1, 2**15, -(2**15) - 1])
+def test_label_tables_match_a_per_label_build(n, ignore):
+    """Each 16-bit pattern's row and column, as one comparison per label
+    gives them, in the smallest integer type that holds every bin index."""
+    labels = np.arange(1 << 16, dtype=np.uint16).view(np.int16).astype(np.int64)
+    in_range = (labels >= 0) & (labels < n)
+    want_rows = np.where(labels == ignore, n, np.where(in_range, labels, n + 1)) * (n + 1)
+    want_cols = np.where(in_range, labels, n)
+    rows, cols = _bin_offsets(n, ignore)
+    assert rows.dtype == cols.dtype == (np.int16 if n < 180 else np.int32)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert not rows.flags.writeable and not cols.flags.writeable
+
+
+def test_label_tables_are_built_in_place():
+    """The two 65,536-entry int16 tables take 256 KiB, and building them
+    takes little more."""
+    tracemalloc.start()
+    try:
+        _bin_offsets.__wrapped__(12, -1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * 1024
 
 
 class TestMiou:

@@ -488,9 +488,9 @@ def test_each_strip_of_a_chip_is_hashed_in_one_update(tmp_path, monkeypatch, met
     readers = []
 
     class Recording(CubeReader):
-        def __init__(self, f, allow_non_finite=False, hasher=None):
+        def __init__(self, f, hasher=None):
             readers.append(UpdateSizes(hasher))
-            super().__init__(f, allow_non_finite, readers[-1])
+            super().__init__(f, readers[-1])
 
     monkeypatch.setattr(hsadapt.cli, "CubeReader", Recording)
     assert main(adapt_argv(method, src, out)) == 0
