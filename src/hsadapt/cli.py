@@ -124,7 +124,7 @@ def _emit_report(report: dict, text_lines: list[str], out: str | None) -> None:
 
 def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> tuple:
     """What `--method` makes of the input grid, built once per run: the
-    function that checks and adapts one strip, the strip budget in bytes (None
+    function that adapts one checked strip, the strip budget in bytes (None
     for the reader's default), the SRF's input digest and the method's
     manifest fields."""
     if args.method == "naive":
@@ -132,15 +132,9 @@ def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> t
 
         plan = nearest_band_indices(grid, spec)
         extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
-
-        def select(strip):
-            if not args.allow_nan:
-                require_finite(strip.data, "--allow-nan")
-            return apply_selection(strip, plan)
-
         # Strips of at most 1 MiB: the reader holds two small strips while
         # the worker hashes one, and the gather has no run size to fill.
-        return select, NAIVE_STRIP_BYTES, {}, extra
+        return lambda strip: apply_selection(strip, plan), NAIVE_STRIP_BYTES, {}, extra
     import hashlib
     from .resample import build_weight_matrix, resample_cube
 
@@ -156,13 +150,14 @@ def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> t
         }
     }
     # Strips of up to STRIP_BYTES, so a 128×128×202 chip is one kernel call.
-    # The kernel checks each run for non-finite values just before it sums it.
-    return lambda strip: resample_cube(strip, w, allow_nan=args.allow_nan), None, srf_inputs, extra
+    # The strip loop has checked each strip, so the kernel checks no run.
+    return lambda strip: resample_cube(strip, w, allow_nan=True), None, srf_inputs, extra
 
 
 def cmd_adapt(args: argparse.Namespace) -> int:
-    """One pass over the input: check its header, plan, then read, adapt,
-    write and hash one row strip at a time, so memory is bounded by a strip."""
+    """One pass over the input: check its header, plan, then read, check,
+    adapt, write and hash one row strip at a time, so memory is bounded by a
+    strip."""
     import hashlib  # loads OpenSSL, which only the commands that hash need
 
     started = time.monotonic()
@@ -182,11 +177,13 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     }
     in_hash = hashlib.sha256()
     with in_path.open("rb") as f:
-        src = CubeReader(f, hasher=in_hash)  # the plan checks finiteness
+        src = CubeReader(f, hasher=in_hash)  # the strip loop checks finiteness
         adapt, strip_bytes, srf_inputs, extra = _plan(args, spec, WavelengthGrid(src.wavelengths))
         with atomic_files(out_path, _manifest_path(out_path)) as (out, manifest):
             dst = CubeWriter(out, src.height)
             for strip in src.strips(rows=src.strip_rows(strip_bytes)):
+                if not args.allow_nan:
+                    require_finite(strip.data, "--allow-nan")
                 dst.write(adapt(strip))
                 del strip  # so the next strip is decoded while none is held
             inputs = {str(in_path): in_hash.hexdigest(), str(sensor_path): sensor_digest}
@@ -195,29 +192,28 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _stem(name: str) -> str:
-    """A mask file's chip name; a bare ".hsm" is its own stem, as with Path.stem."""
-    return name[:-4] or name
-
-
 def _mask_names(d: str) -> set[str]:
     """The directory's `*.hsm` entries, from one listing."""
     return {name for name in os.listdir(d) if name.endswith(".hsm")}
 
 
+def _chip_name(name: str) -> str:
+    """A mask file's chip name: its file name without `.hsm` ("" for `.hsm`)."""
+    return name[:-4]
+
+
 def _paired_masks(pred_dir: str, truth_dir: str) -> list[str]:
-    """The `*.hsm` names both directories hold, in stem order. The caller
-    joins a name to each directory when it reads that pair."""
+    """The `*.hsm` names both directories hold, in chip-name order. The
+    caller joins a name to each directory when it reads that pair."""
     preds = _mask_names(pred_dir)
     truths = _mask_names(truth_dir)
-    missing = sorted(map(_stem, preds ^ truths))
+    missing = sorted(map(_chip_name, preds ^ truths))
     if missing:
         raise ValidationError(f"unpaired chip file(s): {missing}")
     if not preds:
         raise ValidationError("no .hsm files found to score")
     del truths  # before the sort makes its keys
-    # By name first, so the two names with stem ".hsm" keep one order.
-    return sorted(sorted(preds), key=_stem)
+    return sorted(preds, key=_chip_name)
 
 
 def _read_chip(path: str) -> LabelMask:
@@ -254,14 +250,17 @@ def cmd_metrics_seg(args: argparse.Namespace) -> int:
         except ValidationError as e:
             raise ValidationError(f"{pred_path} vs {truth_path}: {e}") from None
         if args.per_chip:
-            per_chip.append({"chip": _stem(name), "miou": miou(chip).to_dict()["miou"]})
+            # A chip with no scored pixel has no mIoU; the mean leaves it out.
+            score = miou(chip).miou if chip.counts.any() else None
+            per_chip.append({"chip": _chip_name(name), "miou": score})
             acc = acc.merge(chip)
     report = miou(acc).to_dict()
     report["ignored_pixels"] = acc.ignored_pixels
     report["chips"] = len(names)
     if args.per_chip:
         report["per_chip"] = per_chip
-        report["per_chip_mean_miou"] = float(np.mean([c["miou"] for c in per_chip]))
+        scored = [c["miou"] for c in per_chip if c["miou"] is not None]
+        report["per_chip_mean_miou"] = float(np.mean(scored))
     text = [f"chips scored: {len(names)}", f"mIoU (pooled): {report['miou']:.6f}"]
     _emit_report(report, text, args.out)
     return EXIT_OK

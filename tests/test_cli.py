@@ -69,16 +69,18 @@ class TestAdapt:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_refusing_a_non_finite_cube_names_the_cli_flag(self, tmp_path, capsys, value):
-        """Without --allow-nan, naive refuses a NaN or infinite pixel, and its
-        message names the option a user can pass; with it, both methods run."""
+        """Without --allow-nan, both methods refuse a NaN or infinite pixel,
+        leave no output, and name the option a user can pass; with it, both
+        run."""
         data = gen_random_cube(4, 4, GRID_202, seed=0).data.copy()
         data[2, 1, 30] = value
         src = tmp_path / "bad.hsc"
         src.write_bytes(write_cube(HyperCube(data=data, wavelengths=GRID_202.values)))
-        assert main(adapt_argv(tmp_path, src)) == 1
-        err = capsys.readouterr().err
-        assert err == "hsadapt: error: cube contains non-finite values (pass --allow-nan to accept)\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == [src.name]
+        for srf in (None, SRF):
+            assert main(adapt_argv(tmp_path, src, srf=srf)) == 1
+            err = capsys.readouterr().err
+            assert err == "hsadapt: error: cube contains non-finite values (pass --allow-nan to accept)\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == [src.name]
         for srf in (None, SRF):
             assert main(adapt_argv(tmp_path, src, srf=srf) + ["--allow-nan"]) == 0
 
@@ -271,18 +273,35 @@ class TestMetricsSeg:
             for name in names:
                 (d / name).write_bytes(b"")
             (d / "dir.hsm").mkdir()
-        want = [p.name for p in sorted((tmp_path / "pred").glob("*.hsm"), key=lambda p: p.stem)]
+        found = (tmp_path / "pred").glob("*.hsm")
+        want = [p.name for p in sorted(found, key=lambda p: p.name.removesuffix(".hsm"))]
         assert _paired_masks(str(tmp_path / "pred"), str(tmp_path / "truth")) == want
 
     def test_names_that_share_a_stem_are_two_chips(self, tmp_path, capsys):
-        """`.hsm` and `.hsm.hsm` both have the stem `.hsm`; each is its own chip."""
+        """`.hsm` and `.hsm.hsm` both have the stem `.hsm`; each is its own
+        chip, named by its file name without `.hsm`."""
         self.write_masks(tmp_path / "pred", {"": [[0, 1]], ".hsm": [[1, 1]]})
         self.write_masks(tmp_path / "truth", {"": [[0, 1]], ".hsm": [[1, 0]]})
         assert main(self.seg_argv(tmp_path, "2", "--per-chip")) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["chips"] == 2
-        assert [c["chip"] for c in report["per_chip"]] == [".hsm", ".hsm"]
+        assert [c["chip"] for c in report["per_chip"]] == ["", ".hsm"]
         assert [c["miou"] for c in report["per_chip"]] == [1.0, 0.25]
+
+    def test_per_chip_row_of_a_chip_with_no_scored_pixel_is_null(self, tmp_path, capsys):
+        """A chip whose truth is all ignore value has no mIoU of its own: its
+        row says null, the per-chip mean leaves it out, and the run succeeds."""
+        self.write_masks(tmp_path / "pred", {"a": [[0, 1], [1, 1]], "b": [[0, 1]]})
+        self.write_masks(tmp_path / "truth", {"a": [[0, 1], [1, 0]], "b": [[-1, -1]]})
+        assert main(self.seg_argv(tmp_path)) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        assert main(self.seg_argv(tmp_path, "2", "--per-chip")) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["per_chip"] == [{"chip": "a", "miou": pytest.approx(7 / 12)},
+                                      {"chip": "b", "miou": None}]
+        assert report["per_chip_mean_miou"] == report["per_chip"][0]["miou"]
+        assert report["miou"] == pooled["miou"]
+        assert report["ignored_pixels"] == pooled["ignored_pixels"] == 2
 
     def test_pairing_holds_names_not_paths(self, tmp_path):
         """Pairing 1,000 chips keeps their names and little else."""

@@ -154,22 +154,29 @@ def pixel_checks(checked: list) -> list:
     return [s for s in checked if len(s) >= 2 and s[-1] == len(GRID)]
 
 
-@pytest.mark.parametrize("method", ["naive", "srf"])
+@pytest.mark.parametrize("method, module, adapter, kwargs", [
+    ("naive", hsadapt.band_select, "apply_selection", {}),
+    ("srf", hsadapt.resample, "resample_cube", {"allow_nan": True}),
+], ids=["naive", "srf"])
 def test_each_strip_is_checked_for_finiteness_once(
-    tmp_path, small_strips, finiteness_checks, method
+    tmp_path, monkeypatch, small_strips, finiteness_checks, method, module, adapter, kwargs
 ):
-    """Every input value is checked once. naive checks each strip, whole when
-    it is this small, before its gather; srf checks each pixel run in the
-    kernel."""
+    """Every input value is checked once, for either method: the strip loop
+    checks each strip whole (it is this small) just before the adapter takes
+    it, and the adapter checks nothing itself. srf calls the kernel with
+    allow_nan=True, so the kernel checks no run."""
+    def adapting(*args, _fn=getattr(module, adapter), **kwargs):
+        finiteness_checks.append(("adapt", kwargs))
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, adapter, adapting)
     src, out = tmp_path / "in.hsc", tmp_path / "out.hsc"
     src.write_bytes(write_cube(gen_random_cube(H, W, GRID, seed=7)))
     assert main(adapt_argv(method, src, out)) == 0
-    if method == "naive":
-        strips = [(rows, W, len(GRID)) for rows in (5, 5, 5, 5, 3)]
-        assert sorted(s for s in finiteness_checks if len(s) == 3) == sorted(strips)
-        return
-    cube_checks = pixel_checks(finiteness_checks)
-    assert sum(math.prod(s) for s in cube_checks) == H * W * len(GRID)
+    # The adapter calls and every check of pixel data, in the order they ran.
+    events = [e for e in finiteness_checks if e[:1] == ("adapt",) or pixel_checks([e])]
+    strips = [(rows, W, len(GRID)) for rows in (5, 5, 5, 5, 3)]
+    assert events == [e for strip in strips for e in (strip, ("adapt", kwargs))]
 
 
 def test_inspect_folds_strips_like_whole_array_reductions(tmp_path, small_strips, capsys):
