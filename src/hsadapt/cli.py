@@ -237,23 +237,17 @@ def cmd_metrics_seg(args: argparse.Namespace) -> int:
         truth_path = os.path.join(args.truth_dir, name)
         pred = _read_chip(pred_path)
         truth = _read_chip(truth_path)
+        ignore = truth.ignore_value if args.ignore is None else args.ignore
         try:
-            # --per-chip scores each chip on its own matrix and merges it;
-            # otherwise every chip is counted straight into the pool.
-            chip = accumulate_confusion(
-                pred,
-                truth,
-                args.classes,
-                truth.ignore_value if args.ignore is None else args.ignore,
-                acc=None if args.per_chip else acc,
-            )
+            chip = accumulate_confusion(pred, truth, args.classes, ignore)
         except ValidationError as e:
             raise ValidationError(f"{pred_path} vs {truth_path}: {e}") from None
+        acc.merge(chip)
         if args.per_chip:
             # A chip with no scored pixel has no mIoU; the mean leaves it out.
             score = miou(chip).miou if chip.counts.any() else None
             per_chip.append({"chip": _chip_name(name), "miou": score})
-            acc = acc.merge(chip)
+        del chip  # so the next chip's histogram is built while none is held
     report = miou(acc).to_dict()
     report["ignored_pixels"] = acc.ignored_pixels
     report["chips"] = len(names)
@@ -442,6 +436,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overwritten_input(args: argparse.Namespace) -> str | None:
+    """A usage error's message when a command would write over one of its
+    own inputs, or None."""
+    if args.command == "adapt":
+        writes = {"--output": args.output,
+                  "--output's manifest": str(_manifest_path(Path(args.output)))}
+        reads = {"--input": args.input, "--sensor": args.sensor, "--srf": args.srf}
+    elif args.command == "inspect":
+        writes, reads = {"--out": args.out}, {"path": args.path}
+    elif args.command == "metrics" and args.task == "reg":
+        writes = {"--out": args.out}
+        reads = {"--pred": args.pred, "--truth": args.truth, "--train": args.train}
+    else:
+        return None
+    for w, out in writes.items():
+        for r, src in reads.items():
+            try:  # samefile: however each path is spelled, hard links too
+                if out and src and os.path.samefile(out, src):
+                    return f"{w} and {r} name the same file ({out}); it would be overwritten"
+            except OSError:  # one of them does not exist
+                pass
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -450,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--srf is required when --method srf")
         if args.method == "naive" and args.srf is not None:
             parser.error("--srf applies only to --method srf")
+    clash = _overwritten_input(args)
+    if clash:
+        parser.error(clash)
     try:
         return args.func(args)
     except (HsadaptError, OSError, MemoryError) as e:

@@ -33,13 +33,12 @@ class ConfusionMatrix:
             raise ValidationError("counts shape does not match n_classes")
 
     def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
+        """Add other's counts into this matrix in place and return it."""
         if other.n_classes != self.n_classes:
             raise ValidationError("cannot merge confusion matrices with different class counts")
-        return ConfusionMatrix(
-            n_classes=self.n_classes,
-            counts=self.counts + other.counts,
-            ignored_pixels=self.ignored_pixels + other.ignored_pixels,
-        )
+        self.counts += other.counts
+        self.ignored_pixels += other.ignored_pixels
+        return self
 
 
 @dataclass(frozen=True)
@@ -109,23 +108,16 @@ def _label_error(p: np.ndarray, t: np.ndarray, n_classes: int, ignore_value: int
 
 
 def accumulate_confusion(
-    pred: LabelMask,
-    truth: LabelMask,
-    n_classes: int,
-    ignore_value: int = -1,
-    acc: ConfusionMatrix | None = None,
+    pred: LabelMask, truth: LabelMask, n_classes: int, ignore_value: int = -1
 ) -> ConfusionMatrix:
-    """Add one chip to a pooled confusion matrix in place and return it (a new
-    matrix when acc is None). On an error acc is left unchanged.
+    """One chip's confusion matrix; pool chips with ConfusionMatrix.merge.
 
     Pixels whose truth equals ignore_value are dropped entirely; the ignore
     value applies to truth only, so predictions inside ignored regions are
     discarded no matter what they contain.
     """
-    if acc is None:
-        acc = ConfusionMatrix(n_classes=n_classes)
-    if acc.n_classes != n_classes:
-        raise ValidationError("accumulator class count mismatch")
+    if n_classes < 1:  # before the tables are built for it
+        raise ValidationError("need at least one class")
     p = pred.labels
     t = truth.labels
     if p.shape != t.shape:
@@ -139,9 +131,8 @@ def accumulate_confusion(
     hist = np.bincount(codes.ravel(), minlength=(n + 2) * (n + 1)).reshape(n + 2, n + 1)
     if hist[n + 1].any() or hist[:n, n].any():
         raise _label_error(p, t, n, ignore_value)
-    acc.counts += hist[:n, :n]
-    acc.ignored_pixels += int(hist[n].sum())
-    return acc
+    # The counts are a view of the histogram: the chip costs no second matrix.
+    return ConfusionMatrix(n, counts=hist[:n, :n], ignored_pixels=int(hist[n].sum()))
 
 
 def miou(acc: ConfusionMatrix) -> SegReport:

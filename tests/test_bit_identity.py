@@ -218,27 +218,31 @@ def confusion_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(confusion_cases())
 def test_fused_confusion_equals_masked_bincount(case):
+    """The chip's matrix equals both oracles' and merges into a prior pool in
+    place; a bad chip raises the oracle's error, type and message alike."""
     pred, truth, n, ignore = case
-    prior = np.arange(n * n, dtype=np.int64).reshape(n, n)
-    acc = ConfusionMatrix(n_classes=n, counts=prior.copy(), ignored_pixels=5)
     try:
         want_counts, want_ignored = masked_confusion(pred.labels, truth.labels, n, ignore)
     except ValidationError as want:
         assert confusion_tally(pred.labels.tolist(), truth.labels.tolist(), n, ignore) is None
         with pytest.raises(ValidationError) as got:
-            accumulate_confusion(pred, truth, n, ignore, acc=acc)
+            accumulate_confusion(pred, truth, n, ignore)
         assert type(got.value) is type(want) and str(got.value) == str(want)
-        assert np.array_equal(acc.counts, prior) and acc.ignored_pixels == 5
         return
     tally_counts, tally_ignored = confusion_tally(
         pred.labels.tolist(), truth.labels.tolist(), n, ignore
     )
     assert np.array_equal(want_counts, tally_counts) and want_ignored == tally_ignored
-    assert accumulate_confusion(pred, truth, n, ignore, acc=acc) is acc
-    assert np.array_equal(acc.counts, prior + want_counts)
-    assert acc.ignored_pixels == 5 + want_ignored
-    fresh = accumulate_confusion(pred, truth, n, ignore)
-    assert np.array_equal(fresh.counts, want_counts) and fresh.ignored_pixels == want_ignored
+    chip = accumulate_confusion(pred, truth, n, ignore)
+    assert chip.n_classes == n and chip.counts.dtype == np.int64
+    assert np.array_equal(chip.counts, want_counts) and chip.ignored_pixels == want_ignored
+    prior = np.arange(n * n, dtype=np.int64).reshape(n, n)
+    pool = ConfusionMatrix(n_classes=n, counts=prior.copy(), ignored_pixels=5)
+    pool_counts = pool.counts
+    assert pool.merge(chip) is pool and pool.counts is pool_counts
+    assert np.array_equal(pool.counts, prior + want_counts)
+    assert pool.ignored_pixels == 5 + want_ignored
+    assert np.array_equal(chip.counts, want_counts) and chip.ignored_pixels == want_ignored
 
 
 def masked_seg_report(chips, n_classes, ignore_value, per_chip):

@@ -333,6 +333,31 @@ class TestMetricsSeg:
         assert main(self.seg_argv(tmp_path, "2", "--ignore", "-1")) == 1
         assert "truth label 255 outside [0, 2)" in capsys.readouterr().err
 
+    def test_per_chip_peak_is_no_higher_than_pooled(self, tmp_path, capsys):
+        """Every chip is pooled one way, so --per-chip holds the pool and one
+        chip's histogram at a time, as a pooled run does. Its rows so far are
+        all it holds beyond that (under 1 KiB here); at 2048 classes a second
+        and a third classes² matrix would add 64 MiB, and a chip still held
+        while the next is counted 32 MiB."""
+        rng = np.random.default_rng(5)
+        truth = {f"c{i}": rng.integers(0, 12, (32, 32)) for i in range(8)}
+        pred = {k: np.where(rng.random(t.shape) < 0.3, (t + 1) % 12, t) for k, t in truth.items()}
+        self.write_masks(tmp_path / "pred", pred)
+        self.write_masks(tmp_path / "truth", truth)
+        peaks = {}
+        for flags in ((), ("--per-chip",)):
+            assert main(self.seg_argv(tmp_path, "2048", *flags)) == 0  # builds the label tables
+            tracemalloc.start()
+            try:
+                assert main(self.seg_argv(tmp_path, "2048", *flags)) == 0
+                peaks[flags] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        histogram = (2048 + 2) * (2048 + 1) * 8  # a little larger than the pool
+        assert peaks[()] <= 2 * histogram + 2**20
+        assert peaks[("--per-chip",)] <= peaks[()] + 64 * 1024
+
     def test_per_chip_flag(self, tmp_path, capsys):
         chips = {"a": np.asarray([[0, 1], [1, 1]])}
         self.write_masks(tmp_path / "pred", {"a": np.asarray([[0, 0], [1, 1]])})
@@ -630,6 +655,49 @@ def test_unwritable_output_names_the_given_path(
     err = capsys.readouterr().err
     assert err.startswith("hsadapt: error: ") and err.endswith(f": {str(target)!r}\n")
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def clobber_cases(d: Path, cube: Path) -> dict[str, tuple[list[str], str, str]]:
+    """Each command line that names one of its inputs as an output, with the
+    two options the refusal must name. The sensor spec, the SRF table and
+    the CSVs are copies in `d`, so only `d` is at stake."""
+    sensor = put(d, "sensor.json", Path(SENSOR).read_text(encoding="utf-8"))
+    srf = put(d, "srf.csv", Path(SRF).read_text(encoding="utf-8"))
+    os.link(cube, d / "link.hsc")
+    manifest_named = put(d, "m.hsc.manifest.json", cube.read_bytes())
+    csv = {name: put(d, f"{name}.csv", "sample_id,K\na,1\nb,2\n") for name in ("p", "t", "tr")}
+    reg = ["metrics", "reg", "--pred", csv["p"], "--truth", csv["t"], "--train", csv["tr"]]
+    naive = ["adapt", "--method", "naive", "--sensor", sensor, "--input", str(cube)]
+    return {
+        "adapt-input": (naive + ["--output", f"{d}/./{cube.name}"], "--output", "--input"),
+        "adapt-input-hard-link": (naive + ["--output", str(d / "link.hsc")], "--output", "--input"),
+        "adapt-sensor": (naive + ["--output", sensor], "--output", "--sensor"),
+        "adapt-srf": (["adapt", "--method", "srf", "--srf", srf, "--sensor", sensor, "--input",
+                       str(cube), "--output", srf], "--output", "--srf"),
+        "adapt-manifest": (["adapt", "--method", "naive", "--sensor", sensor, "--input",
+                            manifest_named, "--output", str(d / "m.hsc")],
+                           "--output's manifest", "--input"),
+        "inspect": (["inspect", str(cube), "--out", f"{d}//{cube.name}"], "--out", "path"),
+        "metrics-reg-pred": (reg + ["--out", csv["p"]], "--out", "--pred"),
+        "metrics-reg-truth": (reg + ["--out", csv["t"]], "--out", "--truth"),
+        "metrics-reg-train": (reg + ["--out", csv["tr"]], "--out", "--train"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "adapt-input", "adapt-input-hard-link", "adapt-sensor", "adapt-srf", "adapt-manifest",
+    "inspect", "metrics-reg-pred", "metrics-reg-truth", "metrics-reg-train",
+])
+def test_an_output_that_names_an_input_is_a_usage_error(tmp_path, cube_file, capsys, case):
+    """An output path that is an input file, however spelled, is refused with
+    exit 2 naming both options, before anything is read or written."""
+    argv, written, read = clobber_cases(tmp_path, cube_file)[case]
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert f"{written} and {read} name the same file" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def readme_commands() -> list[str]:
