@@ -36,7 +36,6 @@ from .cube_io import (
     read_mask,
     read_targets_csv,
     require_finite,
-    write_mask,
 )
 from .errors import FormatError, HsadaptError, ValidationError
 # Top-level imports are only what every command loading this module needs;
@@ -413,19 +412,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.set_defaults(func=cmd_metrics_reg)
 
     p_synth = sub.add_parser("synth", help="write synthetic HSC fixtures")
-    p_synth.add_argument("generator", choices=["flat", "absorption", "random"])
-    p_synth.add_argument("--height", type=int, required=True)
-    p_synth.add_argument("--width", type=int, required=True)
-    p_synth.add_argument("--grid-start", type=float, default=400.0)
-    p_synth.add_argument("--grid-step", type=float, default=5.0)
-    p_synth.add_argument("--bands", type=int, default=202)
-    p_synth.add_argument("--value", type=float, default=0.5, help="flat generator value")
-    p_synth.add_argument("--continuum", type=float, default=0.7)
-    p_synth.add_argument("--center", type=float, default=700.0)
-    p_synth.add_argument("--depth", type=float, default=0.2)
-    p_synth.add_argument("--fwhm", type=float, default=10.0)
-    p_synth.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_synth.add_argument("--output", required=True)
+    # One subcommand per generator, each with only the options it reads.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--height", type=int, required=True)
+    shared.add_argument("--width", type=int, required=True)
+    shared.add_argument("--grid-start", type=float, default=400.0)
+    shared.add_argument("--grid-step", type=float, default=5.0)
+    shared.add_argument("--bands", type=int, default=202)
+    shared.add_argument("--output", required=True)
+    gen = p_synth.add_subparsers(dest="generator", required=True)
+    gen.add_parser("flat", parents=[shared]).add_argument("--value", type=float, default=0.5)
+    p_absorption = gen.add_parser("absorption", parents=[shared])
+    p_absorption.add_argument("--continuum", type=float, default=0.7)
+    p_absorption.add_argument("--center", type=float, default=700.0)
+    p_absorption.add_argument("--depth", type=float, default=0.2)
+    p_absorption.add_argument("--fwhm", type=float, default=10.0)
+    p_random = gen.add_parser("random", parents=[shared])
+    p_random.add_argument("--seed", type=_int_at_least(0), default=0)
     p_synth.set_defaults(func=cmd_synth)
 
     p_inspect = sub.add_parser("inspect", help="summarize a cube or mask file")
@@ -448,6 +451,15 @@ def _overwritten_input(args: argparse.Namespace) -> str | None:
     elif args.command == "metrics" and args.task == "reg":
         writes = {"--out": args.out}
         reads = {"--pred": args.pred, "--truth": args.truth, "--train": args.train}
+    elif args.command == "metrics" and args.out and os.path.exists(args.out):
+        # seg reads every *.hsm entry of its two directories; only an --out
+        # that exists can be one of them, so only then are they listed.
+        writes, reads = {"--out": args.out}, {}
+        for opt, d in (("--pred-dir", args.pred_dir), ("--truth-dir", args.truth_dir)):
+            try:
+                reads |= {f"{opt}'s {name}": os.path.join(d, name) for name in _mask_names(d)}
+            except OSError:  # a directory that cannot be listed fails when it is scored
+                pass
     else:
         return None
     for w, out in writes.items():

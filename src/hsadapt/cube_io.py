@@ -288,7 +288,7 @@ class CubeReader:
     for the next; one that keeps its loop variable bound holds one strip more.
 
     Strips may hold NaN and infinity; a caller that refuses them checks each
-    strip itself (`read_cube`, the naive plan and the srf kernel do).
+    strip itself (`read_cube`, `adapt`'s strip loop and `resample_cube` do).
     """
 
     def __init__(self, f: BinaryIO, hasher=None):

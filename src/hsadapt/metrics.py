@@ -114,7 +114,10 @@ def accumulate_confusion(
 
     Pixels whose truth equals ignore_value are dropped entirely; the ignore
     value applies to truth only, so predictions inside ignored regions are
-    discarded no matter what they contain.
+    discarded whatever labels the LabelMask holds. A mask read from a file
+    has already been checked against its own header, though: read_mask
+    refuses any negative label other than that header's ignore_value, in
+    truth and prediction alike.
     """
     if n_classes < 1:  # before the tables are built for it
         raise ValidationError("need at least one class")

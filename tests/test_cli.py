@@ -15,7 +15,7 @@ import hsadapt.cli
 import hsadapt.metrics
 from hsadapt.cli import _paired_masks, main
 from hsadapt.cube_io import CubeReader, HyperCube, LabelMask, read_cube, write_cube, write_mask
-from hsadapt.synth import gen_random_cube
+from hsadapt.synth import AbsorptionFeatureSpec, gen_absorption_cube, gen_flat_cube, gen_random_cube
 from hsadapt.spectral import WavelengthGrid
 
 REPO = Path(__file__).resolve().parents[1]
@@ -161,7 +161,6 @@ class TestAdapt:
             assert manifest["output_digests"] == {out: hashlib.sha256(Path(out).read_bytes()).hexdigest()}
 
     def test_flat_cube_methods_agree_byte_identical(self, tmp_path):
-        from hsadapt.synth import gen_flat_cube
         cube = gen_flat_cube(8, 8, GRID_202, 0.7)
         src = tmp_path / "flat.hsc"
         src.write_bytes(write_cube(cube))
@@ -333,6 +332,34 @@ class TestMetricsSeg:
         assert main(self.seg_argv(tmp_path, "2", "--ignore", "-1")) == 1
         assert "truth label 255 outside [0, 2)" in capsys.readouterr().err
 
+    def test_a_mask_file_is_checked_against_its_own_header(self, tmp_path, capsys):
+        """A mask read from a file refuses any negative label other than its
+        own header's ignore_value, before the pair is scored: a prediction -7
+        on a pixel the truth ignores, and a truth -5 under `--ignore -5` when
+        that truth's header says -1."""
+        def written_with_header_ignore_minus_1(side, labels, ignore):
+            self.write_masks(tmp_path / side, {"a": [labels]}, ignore=ignore)
+            path = tmp_path / side / "a.hsm"
+            path.write_bytes(path.read_bytes().replace(b'"ignore_value":%d' % ignore,
+                                                       b'"ignore_value":-1', 1))
+            return path
+
+        pred = written_with_header_ignore_minus_1("pred", [-7, 1], ignore=-7)
+        self.write_masks(tmp_path / "truth", {"a": [[-1, 1]]})
+        assert main(self.seg_argv(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"hsadapt: error: {pred}: mask contains out-of-range label -7 "
+            "(negative labels other than ignore_value -1)\n")
+        self.write_masks(tmp_path / "pred", {"a": [[0, 1]]})
+        truth = written_with_header_ignore_minus_1("truth", [-5, 1], ignore=-5)
+        assert main(self.seg_argv(tmp_path, "2", "--ignore", "-5")) == 1
+        assert capsys.readouterr().err == (
+            f"hsadapt: error: {truth}: mask contains out-of-range label -5 "
+            "(negative labels other than ignore_value -1)\n")
+        self.write_masks(tmp_path / "truth", {"a": [[-5, 1]]}, ignore=-5)
+        assert main(self.seg_argv(tmp_path, "2", "--ignore", "-5")) == 0
+        assert json.loads(capsys.readouterr().out)["ignored_pixels"] == 1
+
     def test_per_chip_peak_is_no_higher_than_pooled(self, tmp_path, capsys):
         """Every chip is pooled one way, so --per-chip holds the pool and one
         chip's histogram at a time, as a pooled run does. Its rows so far are
@@ -486,6 +513,47 @@ class TestSynthInspect:
                    "--output", str(tmp_path / "x.hsc")])
         assert rc == 1
         assert capsys.readouterr().err == f"hsadapt: error: {shown}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("generator, own, cube", [
+        ("flat", {"value": 0.25}, lambda grid: gen_flat_cube(3, 2, grid, 0.25)),
+        ("absorption", {"continuum": 0.6, "center": 650.0, "depth": 0.1, "fwhm": 20.0},
+         lambda grid: gen_absorption_cube(3, 2, grid, AbsorptionFeatureSpec(0.6, 650.0, 0.1, 20.0))),
+        ("random", {"seed": 7}, lambda grid: gen_random_cube(3, 2, grid, seed=7)),
+    ], ids=["flat", "absorption", "random"])
+    def test_manifest_records_only_the_options_its_generator_reads(
+        self, tmp_path, generator, own, cube
+    ):
+        out = tmp_path / "x.hsc"
+        flags = [f"--{k}={v}" for k, v in own.items()]
+        assert main(["synth", generator, "--height", "3", "--width", "2", "--bands", "121",
+                     *flags, "--output", str(out)]) == 0
+        grid = WavelengthGrid(tuple(400.0 + 5.0 * i for i in range(121)))
+        assert out.read_bytes() == write_cube(cube(grid))
+        manifest = json.loads((tmp_path / "x.hsc.manifest.json").read_text())
+        assert manifest["parameters"] == {
+            "command": "synth", "generator": generator, "height": 3, "width": 2,
+            "grid_start": 400.0, "grid_step": 5.0, "bands": 121, "output": str(out), **own}
+
+    @pytest.mark.parametrize("generator, option", [
+        (generator, option)
+        for generator, others in (
+            ("flat", ["--continuum", "--center", "--depth", "--fwhm", "--seed"]),
+            ("absorption", ["--value", "--seed"]),
+            ("random", ["--value", "--continuum", "--center", "--depth", "--fwhm"]),
+        )
+        for option in others
+    ])
+    def test_an_option_of_another_generator_is_a_usage_error(
+        self, tmp_path, capsys, generator, option
+    ):
+        """Each generator takes only the options it reads: another's is
+        refused, not ignored and recorded in the manifest."""
+        with pytest.raises(SystemExit) as e:
+            main(["synth", generator, "--height", "2", "--width", "2", option, "1",
+                  "--output", str(tmp_path / "x.hsc")])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_unknown_generator_usage_error(self, tmp_path):
@@ -659,14 +727,16 @@ def test_unwritable_output_names_the_given_path(
 
 def clobber_cases(d: Path, cube: Path) -> dict[str, tuple[list[str], str, str]]:
     """Each command line that names one of its inputs as an output, with the
-    two options the refusal must name. The sensor spec, the SRF table and
-    the CSVs are copies in `d`, so only `d` is at stake."""
+    two names the refusal must give. The sensor spec, the SRF table and the
+    CSVs are copies in `d`, and the masks are in it, so only `d` is at stake."""
     sensor = put(d, "sensor.json", Path(SENSOR).read_text(encoding="utf-8"))
     srf = put(d, "srf.csv", Path(SRF).read_text(encoding="utf-8"))
     os.link(cube, d / "link.hsc")
     manifest_named = put(d, "m.hsc.manifest.json", cube.read_bytes())
     csv = {name: put(d, f"{name}.csv", "sample_id,K\na,1\nb,2\n") for name in ("p", "t", "tr")}
     reg = ["metrics", "reg", "--pred", csv["p"], "--truth", csv["t"], "--train", csv["tr"]]
+    seg = seg_dirs_argv(d)
+    os.link(d / "truth" / "a.hsm", d / "seg.json")
     naive = ["adapt", "--method", "naive", "--sensor", sensor, "--input", str(cube)]
     return {
         "adapt-input": (naive + ["--output", f"{d}/./{cube.name}"], "--output", "--input"),
@@ -681,23 +751,32 @@ def clobber_cases(d: Path, cube: Path) -> dict[str, tuple[list[str], str, str]]:
         "metrics-reg-pred": (reg + ["--out", csv["p"]], "--out", "--pred"),
         "metrics-reg-truth": (reg + ["--out", csv["t"]], "--out", "--truth"),
         "metrics-reg-train": (reg + ["--out", csv["tr"]], "--out", "--train"),
+        "metrics-seg-pred": (seg + ["--out", str(d / "pred" / "a.hsm")],
+                             "--out", "--pred-dir's a.hsm"),
+        "metrics-seg-truth": (seg + ["--out", str(d / "truth" / "a.hsm")],
+                              "--out", "--truth-dir's a.hsm"),
+        "metrics-seg-dot": (seg + ["--out", f"{d}/pred/./a.hsm"], "--out", "--pred-dir's a.hsm"),
+        "metrics-seg-hard-link": (seg + ["--out", str(d / "seg.json")],
+                                  "--out", "--truth-dir's a.hsm"),
     }
 
 
 @pytest.mark.parametrize("case", [
     "adapt-input", "adapt-input-hard-link", "adapt-sensor", "adapt-srf", "adapt-manifest",
     "inspect", "metrics-reg-pred", "metrics-reg-truth", "metrics-reg-train",
+    "metrics-seg-pred", "metrics-seg-truth", "metrics-seg-dot", "metrics-seg-hard-link",
 ])
 def test_an_output_that_names_an_input_is_a_usage_error(tmp_path, cube_file, capsys, case):
     """An output path that is an input file, however spelled, is refused with
     exit 2 naming both options, before anything is read or written."""
     argv, written, read = clobber_cases(tmp_path, cube_file)[case]
-    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    files = lambda: {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    before = files()
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == 2
     assert f"{written} and {read} name the same file" in capsys.readouterr().err
-    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert files() == before
 
 
 def readme_commands() -> list[str]:
