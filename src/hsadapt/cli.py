@@ -308,7 +308,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with atomic_files(out_path, _manifest_path(out_path)) as (f, manifest):
         dst = CubeWriter(f, cube.height)
         dst.write(cube)  # the whole cube as one strip, written without a copy
-        params = {k: v for k, v in vars(args).items() if k not in ("func",)}
+        params = {k: v for k, v in vars(args).items() if k not in ("func", "parser")}
         _write_manifest(manifest, out_path, dst.hexdigest(), "synth", params, {}, {}, started)
     return EXIT_OK
 
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--output", required=True, help="output HSC cube")
     p_adapt.add_argument("--srf", help="SRF table CSV (--method srf only)")
     p_adapt.add_argument("--allow-nan", action="store_true")
-    p_adapt.set_defaults(func=cmd_adapt)
+    p_adapt.set_defaults(func=cmd_adapt, parser=p_adapt)
 
     p_metrics = sub.add_parser("metrics", help="score predictions")
     msub = p_metrics.add_subparsers(dest="task", required=True)
@@ -403,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_seg.add_argument("--per-chip", action="store_true")
     p_seg.add_argument("--out")
-    p_seg.set_defaults(func=cmd_metrics_seg)
+    p_seg.set_defaults(func=cmd_metrics_seg, parser=p_seg)
     p_reg = msub.add_parser("reg", help="regression normalized MSE")
     p_reg.add_argument("--pred", required=True)
     p_reg.add_argument("--truth", required=True)
     p_reg.add_argument("--train", required=True)
     p_reg.add_argument("--out")
-    p_reg.set_defaults(func=cmd_metrics_reg)
+    p_reg.set_defaults(func=cmd_metrics_reg, parser=p_reg)
 
     p_synth = sub.add_parser("synth", help="write synthetic HSC fixtures")
     # One subcommand per generator, each with only the options it reads.
@@ -421,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--bands", type=int, default=202)
     shared.add_argument("--output", required=True)
     gen = p_synth.add_subparsers(dest="generator", required=True)
-    gen.add_parser("flat", parents=[shared]).add_argument("--value", type=float, default=0.5)
+    p_flat = gen.add_parser("flat", parents=[shared])
+    p_flat.add_argument("--value", type=float, default=0.5)
     p_absorption = gen.add_parser("absorption", parents=[shared])
     p_absorption.add_argument("--continuum", type=float, default=0.7)
     p_absorption.add_argument("--center", type=float, default=700.0)
@@ -429,12 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_absorption.add_argument("--fwhm", type=float, default=10.0)
     p_random = gen.add_parser("random", parents=[shared])
     p_random.add_argument("--seed", type=_int_at_least(0), default=0)
+    for p in (p_flat, p_absorption, p_random):
+        p.set_defaults(parser=p)
     p_synth.set_defaults(func=cmd_synth)
 
     p_inspect = sub.add_parser("inspect", help="summarize a cube or mask file")
     p_inspect.add_argument("path")
     p_inspect.add_argument("--out")
-    p_inspect.set_defaults(func=cmd_inspect)
+    p_inspect.set_defaults(func=cmd_inspect, parser=p_inspect)
 
     return parser
 
@@ -474,15 +477,18 @@ def _overwritten_input(args: argparse.Namespace) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, leftovers = parser.parse_known_args(argv)
+    # Each usage error found here prints the usage of the subcommand run.
+    if leftovers:
+        args.parser.error(f"unrecognized arguments: {' '.join(leftovers)}")
     if args.command == "adapt":
         if args.method == "srf" and not args.srf:
-            parser.error("--srf is required when --method srf")
+            args.parser.error("--srf is required when --method srf")
         if args.method == "naive" and args.srf is not None:
-            parser.error("--srf applies only to --method srf")
+            args.parser.error("--srf applies only to --method srf")
     clash = _overwritten_input(args)
     if clash:
-        parser.error(clash)
+        args.parser.error(clash)
     try:
         return args.func(args)
     except (HsadaptError, OSError, MemoryError) as e:

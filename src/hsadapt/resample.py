@@ -4,7 +4,6 @@ reading each strip in place in runs of consecutive pixels."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,17 +94,6 @@ def build_weight_matrix(grid: WavelengthGrid, table: SrfTable, spec: SensorSpec)
     )
 
 
-def _pool_size(threads: int, n_runs: int) -> int:
-    """Kernel-pool workers: the requested count, capped by the pixel runs and
-    the CPUs this process may run on. That is its affinity set where the
-    platform has one, since taskset or a container's cpuset may shrink it."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(threads, n_runs, cpus)
-
-
 def resample_cube(
     cube: HyperCube,
     w: WeightMatrix,
@@ -116,8 +104,10 @@ def resample_cube(
     """Project every pixel's spectrum onto the target bands.
 
     Accumulation runs in double precision regardless of storage precision;
-    results are bit-identical for any tile size or thread count because each
-    pixel's dot product is computed independently.
+    results are bit-identical for any tile size because each pixel's dot
+    product is computed independently. Every run of tile² pixels is summed
+    on the calling thread, so `threads` (still checked to be >= 1) changes
+    neither speed nor output.
     """
     if w.source_grid_hash != cube.grid_digest():
         raise GridMismatchError("weight matrix was built for a different wavelength grid")
@@ -144,11 +134,11 @@ def resample_cube(
         if not allow_nan:  # checked just before the run is summed, in small pieces
             require_finite(x, "allow_nan")
         # Each pixel of band k sums x[j]*w[j, k] over its supported j in ascending
-        # order whatever the run length or thread count, so output bytes never
-        # change (BLAS gemm would not fix the order). An unsupported band is never
-        # read; NaN or infinity in a supported one propagates by IEEE arithmetic.
-        # errstate is per thread: under allow_nan a signalling NaN in the cast and
-        # +inf meeting -inf in a sum are results, not faults.
+        # order whatever the run length, so output bytes never change (BLAS gemm
+        # would not fix the order). An unsupported band is never read; NaN or
+        # infinity in a supported one propagates by IEEE arithmetic. Under
+        # allow_nan a signalling NaN in the cast and +inf meeting -inf in a sum
+        # are results, not faults.
         with np.errstate(invalid="ignore"):
             acc = np.zeros((w.n_targets, x.shape[0]), dtype=np.float64)
             band = np.empty(x.shape[0], dtype=np.float64)
@@ -164,17 +154,8 @@ def resample_cube(
             acc[np.isnan(acc)] = np.nan
         out.reshape(-1, w.n_targets)[p0 : p0 + x.shape[0]] = acc.T
 
-    starts = range(0, pixels.shape[0], tile * tile)
-    workers = _pool_size(threads, len(starts))
-    if workers == 1:
-        for p0 in starts:
-            run_block(p0)
-    else:
-        # Imported only here: concurrent.futures pulls in logging and queue.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, starts))
+    for p0 in range(0, pixels.shape[0], tile * tile):
+        run_block(p0)
 
     return HyperCube(data=out, wavelengths=w.band_centers)
 

@@ -4,7 +4,7 @@ scalar sampler, dense fixed-order accumulation loop and masked bincount they
 replace, and of mIoU's exact mean against a sum of Fractions."""
 
 import json
-import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +16,7 @@ from hsadapt.cli import main
 from hsadapt.cube_io import HyperCube, LabelMask, write_mask
 from hsadapt.errors import EmptySupportError, ValidationError
 from hsadapt.metrics import ConfusionMatrix, accumulate_confusion, miou
-from hsadapt.resample import WeightMatrix, _pool_size, build_weight_matrix, resample_cube
+from hsadapt.resample import WeightMatrix, build_weight_matrix, resample_cube
 from hsadapt.spectral import SensorSpec, SrfTable, TargetBand, WavelengthGrid
 from oracles import confusion_tally
 
@@ -147,25 +147,27 @@ def test_resample_equals_dense_fixed_order_loop(case, tile, threads):
     assert out.data.tobytes() == dense_resample(data, weights, allow_nan).tobytes()
 
 
-def test_pool_size_is_capped_by_tiles_and_cpus(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # cpu_count() decides
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert _pool_size(1, 16) == 1
-    assert _pool_size(2, 16) == 2
-    assert _pool_size(64, 16) == 4
-    assert _pool_size(64, 3) == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _pool_size(8, 16) == 1
+def test_the_kernel_starts_no_thread(monkeypatch):
+    """Every run is summed on the calling thread: asking for 4 threads starts
+    none and gives the bytes of 1."""
+    rng = np.random.default_rng(7)
+    data = rng.random((8, 8, 6), dtype=np.float32)  # 16 runs of 2² pixels
+    weights = rng.random((6, 3))
+    wavelengths = tuple(400.0 + 10.0 * j for j in range(6))
+    wm = WeightMatrix(
+        weights=weights / weights.sum(axis=0),
+        band_names=("B0", "B1", "B2"),
+        band_centers=(500.0,) * 3,
+        source_wavelengths=wavelengths,
+    )
+    cube = HyperCube(data=data, wavelengths=wavelengths)
+    one = resample_cube(cube, wm, tile=2, threads=1).data.tobytes()
 
+    def refuse(self):
+        raise AssertionError("the kernel started a thread")
 
-def test_pool_size_is_capped_by_the_cpus_this_process_may_use(monkeypatch):
-    """Under taskset or a container's cpuset, the affinity set, not the host's
-    CPU count, bounds the pool."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _pool_size(4, 10) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    assert _pool_size(64, 16) == 2
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert resample_cube(cube, wm, tile=2, threads=4).data.tobytes() == one
 
 
 def masked_confusion(p, t, n_classes, ignore_value):

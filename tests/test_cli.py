@@ -779,6 +779,24 @@ def test_an_output_that_names_an_input_is_a_usage_error(tmp_path, cube_file, cap
     assert files() == before
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["synth", "random", "--height", "2", "--width", "2", "--value", "0.3"],
+     "usage: hsadapt synth random"),
+    (["adapt", "--bogus", "1", "--method", "naive", "--sensor", SENSOR, "--input", "chip.hsc"],
+     "usage: hsadapt adapt"),
+    (["adapt", "--method", "srf", "--sensor", SENSOR, "--input", "chip.hsc"],
+     "usage: hsadapt adapt"),
+], ids=["synth-foreign-option", "adapt-unknown-option", "adapt-srf-without-table"])
+def test_a_usage_error_prints_the_usage_of_the_subcommand_run(tmp_path, capsys, argv, usage):
+    """An option the subcommand does not take and `adapt`'s `--srf` rules are
+    reported with that subcommand's usage, not the top-level one."""
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--output", str(tmp_path / "x.hsc")])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith(usage)
+    assert not list(tmp_path.iterdir())
+
+
 def readme_commands() -> list[str]:
     """Every `hsadapt ...` line of the README's shell blocks, with backslash
     continuations joined."""
