@@ -22,7 +22,10 @@ class SelectionPlan:
 
     indices: tuple[int, ...]
     distances: tuple[float, ...]
-    source_grid_hash: str
+    source_wavelengths: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "source_wavelengths", tuple(map(float, self.source_wavelengths)))
 
     def summary(self) -> dict:
         counts: dict[int, int] = {}
@@ -50,7 +53,7 @@ def nearest_band_indices(grid: WavelengthGrid, spec: SensorSpec) -> SelectionPla
     return SelectionPlan(
         indices=tuple(indices),
         distances=tuple(distances),
-        source_grid_hash=grid.digest(),
+        source_wavelengths=grid.values,
     )
 
 
@@ -60,7 +63,7 @@ def apply_selection(cube: HyperCube, plan: SelectionPlan) -> HyperCube:
     The output wavelength list carries the selected input wavelengths in
     target-band order (ties repeat when two targets select the same band).
     """
-    if plan.source_grid_hash != cube.grid_digest():
+    if plan.source_wavelengths != cube.wavelengths:
         raise GridMismatchError("selection plan was built for a different wavelength grid")
     for j in plan.indices:
         if not 0 <= j < cube.bands:

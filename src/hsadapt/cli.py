@@ -40,7 +40,8 @@ from .cube_io import (
 from .errors import FormatError, HsadaptError, ValidationError
 # Top-level imports are only what every command loading this module needs;
 # each command imports the rest itself (see "Process cost" in the README).
-from .spectral import SensorSpec, WavelengthGrid, parse_sensor_spec, parse_srf_table
+from .spectral import (SensorSpec, WavelengthGrid, parse_sensor_spec, parse_srf_table,
+                       wavelength_digest)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -125,12 +126,13 @@ def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> t
     """What `--method` makes of the input grid, built once per run: the
     function that adapts one checked strip, the strip budget in bytes (None
     for the reader's default), the SRF's input digest and the method's
-    manifest fields."""
+    manifest fields, with the grid's digest."""
+    grid_hash = wavelength_digest(grid.values)
     if args.method == "naive":
         from .band_select import apply_selection, nearest_band_indices
 
         plan = nearest_band_indices(grid, spec)
-        extra = {"selection_plan": plan.summary() | {"source_grid_hash": plan.source_grid_hash}}
+        extra = {"selection_plan": plan.summary() | {"source_grid_hash": grid_hash}}
         # Strips of at most 1 MiB: the reader holds two small strips while
         # the worker hashes one, and the gather has no run size to fill.
         return lambda strip: apply_selection(strip, plan), NAIVE_STRIP_BYTES, {}, extra
@@ -143,7 +145,7 @@ def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> t
     srf_inputs = {str(srf_path): hashlib.sha256(srf_raw).hexdigest()}
     extra = {
         "weight_matrix": {
-            "source_grid_hash": w.source_grid_hash,
+            "source_grid_hash": grid_hash,
             "digest": hashlib.sha256(w.weights.tobytes()).hexdigest(),
             "support_counts": list(w.support_counts),
         }
@@ -476,9 +478,14 @@ def _overwritten_input(args: argparse.Namespace) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args, leftovers = parser.parse_known_args(argv)
-    # Each usage error found here prints the usage of the subcommand run.
+    # Every token before the subcommand is a leftover of the top-level parser,
+    # which takes no option values; other usage errors print the subcommand's usage.
+    before = argv[: argv.index(args.command)]
+    if before:
+        parser.error(f"unrecognized arguments: {' '.join(before)}")
     if leftovers:
         args.parser.error(f"unrecognized arguments: {' '.join(leftovers)}")
     if args.command == "adapt":

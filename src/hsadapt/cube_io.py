@@ -36,7 +36,6 @@ from .spectral import (
     json_float,
     json_object,
     read_numeric_csv,
-    wavelength_digest,
 )
 
 CUBE_MAGIC = b"HSC1"
@@ -56,8 +55,9 @@ class HyperCube:
     wavelengths: tuple[float, ...]
 
     def __post_init__(self):
-        # Stored as a tuple, whatever sequence was given: its checks are cached by tuple.
-        object.__setattr__(self, "wavelengths", tuple(self.wavelengths))
+        # A tuple of Python floats: its checks are cached by tuple, and plans bind
+        # to it by ==, which numpy 2 holds true for np.float32(500.1) and 500.1.
+        object.__setattr__(self, "wavelengths", tuple(map(float, self.wavelengths)))
         if self.data.ndim != 3:
             raise ValidationError("cube data must be H×W×C")
         if self.data.dtype != np.float32:
@@ -73,9 +73,6 @@ class HyperCube:
     def grid(self) -> WavelengthGrid:
         """Strict wavelength grid; raises for adapted cubes with tied wavelengths."""
         return WavelengthGrid(self.wavelengths)
-
-    def grid_digest(self) -> str:
-        return wavelength_digest(self.wavelengths)
 
     @property
     def height(self) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .cube_io import HyperCube, require_finite
 from .errors import EmptySupportError, GridMismatchError, ValidationError
-from .spectral import SensorSpec, SrfTable, WavelengthGrid, _sample_srf, wavelength_digest
+from .spectral import SensorSpec, SrfTable, WavelengthGrid, _sample_srf
 
 DEFAULT_TILE = 64
 
@@ -30,6 +30,7 @@ class WeightMatrix:
     source_wavelengths: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "source_wavelengths", tuple(map(float, self.source_wavelengths)))
         w = self.weights
         if w.ndim != 2 or w.dtype != np.float64:
             raise ValidationError("weights must be a 2-D float64 matrix")
@@ -59,10 +60,6 @@ class WeightMatrix:
         return tuple(int(n) for n in np.count_nonzero(self.weights, axis=0))
 
     @property
-    def source_grid_hash(self) -> str:
-        return wavelength_digest(self.source_wavelengths)
-
-    @property
     def n_inputs(self) -> int:
         return self.weights.shape[0]
 
@@ -90,7 +87,7 @@ def build_weight_matrix(grid: WavelengthGrid, table: SrfTable, spec: SensorSpec)
         weights=raw / sums,
         band_names=tuple(spec.band_names),
         band_centers=tuple(float(b.center) for b in spec.bands),
-        source_wavelengths=tuple(grid.values),
+        source_wavelengths=grid.values,
     )
 
 
@@ -109,7 +106,7 @@ def resample_cube(
     on the calling thread, so `threads` (still checked to be >= 1) changes
     neither speed nor output.
     """
-    if w.source_grid_hash != cube.grid_digest():
+    if w.source_wavelengths != cube.wavelengths:
         raise GridMismatchError("weight matrix was built for a different wavelength grid")
     if cube.bands != w.n_inputs:
         raise ValidationError(f"cube has {cube.bands} bands, weight matrix expects {w.n_inputs}")

@@ -26,8 +26,9 @@ class WavelengthGrid:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        # Stored as a tuple, whatever sequence was given: its checks are cached by tuple.
-        object.__setattr__(self, "values", tuple(self.values))
+        # A tuple of Python floats: its checks are cached by tuple, and plans bind
+        # to it by ==, which numpy 2 holds true for np.float32(500.1) and 500.1.
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.values) < 1:
             raise ValidationError("wavelength grid must contain at least one value")
         check_wavelengths(self.values)
@@ -39,10 +40,6 @@ class WavelengthGrid:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
-
-    def digest(self) -> str:
-        """Hex digest binding derived artifacts (plans, weight matrices) to this grid."""
-        return wavelength_digest(self.values)
 
 
 @functools.lru_cache(maxsize=16)
@@ -58,14 +55,11 @@ def check_wavelengths(values: tuple[float, ...]) -> None:
         raise ValidationError("wavelengths must be finite and positive")
 
 
-@functools.lru_cache(maxsize=16)
 def wavelength_digest(values: tuple[float, ...]) -> str:
-    """Hex SHA-256 of finite, positive wavelengths as float64 bytes, hashed
-    once per distinct tuple. Equal tuples of positive numbers have equal bytes
-    (0.0 == -0.0 would not), so a cached digest is the one its key's bytes give."""
+    """The grid digest a manifest records: hex SHA-256 of the wavelengths as
+    little-endian float64 bytes."""
     import hashlib  # loads OpenSSL, which only the commands that hash need
 
-    check_wavelengths(values)
     return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
 
 

@@ -81,8 +81,7 @@ class TestApplySelection:
         grid = (500.0, 600.0, 700.0)
         data = np.arange(2 * 2 * 3, dtype=np.float32).reshape(2, 2, 3)
         cube = cube_from(data, grid)
-        plan = SelectionPlan(indices=(2, 0), distances=(0.0, 0.0),
-                             source_grid_hash=cube.grid_digest())
+        plan = SelectionPlan(indices=(2, 0), distances=(0.0, 0.0), source_wavelengths=grid)
         out = apply_selection(cube, plan)
         assert out.data.shape == (2, 2, 2)
         assert np.array_equal(out.data[..., 0], data[..., 2])
@@ -101,14 +100,25 @@ class TestApplySelection:
     def test_grid_mismatch_rejected(self):
         grid = (500.0, 600.0, 700.0)
         cube = cube_from(np.zeros((2, 2, 3)), grid)
-        plan = SelectionPlan(indices=(0,), distances=(0.0,), source_grid_hash="deadbeef")
+        plan = SelectionPlan(indices=(0,), distances=(0.0,), source_wavelengths=(500.0, 600.0, 701.0))
         with pytest.raises(GridMismatchError):
             apply_selection(cube, plan)
+        # float32 wavelengths are other values than the float64 ones a plan was
+        # built from, although numpy 2 takes np.float32(500.1) == 500.1 as True.
+        fine = (500.1, 600.1, 700.1)
+        plan = nearest_band_indices(WavelengthGrid(fine), sensor(600.0))
+        with pytest.raises(GridMismatchError):
+            apply_selection(cube_from(np.zeros((2, 2, 3)), np.array(fine, dtype=np.float32)), plan)
+        # and the other way round: a plan given float32 wavelengths, a float64 cube
+        plan = SelectionPlan(indices=(1,), distances=(0.0,),
+                             source_wavelengths=np.array(fine, dtype=np.float32))
+        with pytest.raises(GridMismatchError):
+            apply_selection(cube_from(np.zeros((2, 2, 3)), fine), plan)
 
     def test_index_out_of_range_rejected(self):
         grid = (500.0, 600.0, 700.0)
         cube = cube_from(np.zeros((2, 2, 3)), grid)
-        plan = SelectionPlan(indices=(3,), distances=(0.0,), source_grid_hash=cube.grid_digest())
+        plan = SelectionPlan(indices=(3,), distances=(0.0,), source_wavelengths=grid)
         with pytest.raises(ValidationError):
             apply_selection(cube, plan)
 

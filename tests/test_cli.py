@@ -786,10 +786,14 @@ def test_an_output_that_names_an_input_is_a_usage_error(tmp_path, cube_file, cap
      "usage: hsadapt adapt"),
     (["adapt", "--method", "srf", "--sensor", SENSOR, "--input", "chip.hsc"],
      "usage: hsadapt adapt"),
-], ids=["synth-foreign-option", "adapt-unknown-option", "adapt-srf-without-table"])
+    (["--bogus", "synth", "random", "--height", "2", "--width", "2"], "usage: hsadapt [-h]"),
+], ids=["synth-foreign-option", "adapt-unknown-option", "adapt-srf-without-table",
+        "top-level-unknown-option"])
 def test_a_usage_error_prints_the_usage_of_the_subcommand_run(tmp_path, capsys, argv, usage):
     """An option the subcommand does not take and `adapt`'s `--srf` rules are
-    reported with that subcommand's usage, not the top-level one."""
+    reported with that subcommand's usage, not the top-level one; an option
+    before the subcommand, which only the top-level parser reads, with the
+    top-level usage."""
     with pytest.raises(SystemExit) as e:
         main(argv + ["--output", str(tmp_path / "x.hsc")])
     assert e.value.code == 2

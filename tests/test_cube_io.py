@@ -30,7 +30,7 @@ from hsadapt.cube_io import (
 )
 from hsadapt.errors import FormatError, ValidationError
 from hsadapt.resample import WeightMatrix, resample_cube
-from hsadapt.spectral import WavelengthGrid
+from hsadapt.spectral import WavelengthGrid, wavelength_digest
 
 SENSOR = str(Path(__file__).resolve().parents[1] / "configs" / "sentinel2_l2a_12band.json")
 
@@ -272,13 +272,18 @@ def test_a_bad_wavelength_fails_on_every_call(bad):
 
 
 def test_wavelengths_may_be_any_sequence():
-    """A list or an array of wavelengths is stored as a tuple, which the
-    cached wavelength checks need."""
+    """A list or an array of wavelengths, float32 too, is stored as a tuple of
+    Python floats: the cached wavelength checks need a tuple, and a float32
+    element would be no JSON number."""
     data = np.zeros((1, 1, 2), dtype=np.float32)
-    for given in ([500.0, 600.0], np.array([500.0, 600.0])):
+    for given in ([500.0, 600.0], np.array([500.0, 600.0]), np.array([500.0, 600.0], dtype=np.float32)):
         cube = HyperCube(data=data, wavelengths=given)
         assert cube.wavelengths == (500.0, 600.0) == WavelengthGrid(given).values
-        assert cube.grid_digest() == WavelengthGrid(given).digest() == cube.grid.digest()
+        assert all(type(v) is float for v in cube.wavelengths + WavelengthGrid(given).values)
+        assert (wavelength_digest(cube.wavelengths) == wavelength_digest(WavelengthGrid(given).values)
+                == wavelength_digest(cube.grid.values) == wavelength_digest((500.0, 600.0)))
+        back = read_cube(write_cube(cube))
+        assert back.wavelengths == cube.wavelengths and back.data.tobytes() == data.tobytes()
 
 
 # Pixel data whose finiteness checks meet every edge: 512-pixel pieces, 64²-pixel

@@ -176,6 +176,18 @@ class TestResampleCube:
         other = flat_cube(2, 2, (491.0, 500.0, 510.0), 1.0)
         with pytest.raises(GridMismatchError):
             resample_cube(other, w)
+        # float32 wavelengths are other values than the float64 ones the weights
+        # were built from, although numpy 2 takes np.float32(500.1) == 500.1 as True.
+        fine = (490.1, 500.1, 510.1)
+        table = table_for([("B1", [0.5, 1.0, 0.5])], fine)
+        w = build_weight_matrix(WavelengthGrid(fine), table, sensor(("B1", 500.1)))
+        with pytest.raises(GridMismatchError):
+            resample_cube(flat_cube(2, 2, np.array(fine, dtype=np.float32), 1.0), w)
+        # and the other way round: weights given float32 wavelengths, a float64 cube
+        w = WeightMatrix(weights=w.weights, band_names=w.band_names, band_centers=w.band_centers,
+                         source_wavelengths=np.array(fine, dtype=np.float32))
+        with pytest.raises(GridMismatchError):
+            resample_cube(flat_cube(2, 2, fine, 1.0), w)
 
     def test_band_count_mismatch(self):
         grid, w = simple_weights()

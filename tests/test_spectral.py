@@ -14,6 +14,7 @@ from hsadapt.spectral import (
     parse_sensor_spec,
     parse_srf_table,
     srf_evaluate,
+    wavelength_digest,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -46,8 +47,8 @@ class TestWavelengthGrid:
     def test_digest_distinguishes_grids(self):
         a = WavelengthGrid((430.0, 490.0))
         b = WavelengthGrid((430.0, 491.0))
-        assert a.digest() != b.digest()
-        assert a.digest() == WavelengthGrid((430.0, 490.0)).digest()
+        assert wavelength_digest(a.values) != wavelength_digest(b.values)
+        assert wavelength_digest(a.values) == wavelength_digest(WavelengthGrid((430.0, 490.0)).values)
 
 
 class TestParseSensorSpec:

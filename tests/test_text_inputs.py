@@ -3,6 +3,7 @@ mutation fuzzing of every reader that takes a file from outside, and payload
 mutants through every command that computes on a cube or mask payload."""
 
 import contextlib
+import hashlib
 import io
 import json
 import struct
@@ -237,17 +238,55 @@ CASES = {
 }
 
 
+# Each input file of the work directory and its bytes; the mutant is written beside them.
+INPUTS = {"spec.json": SPEC_TEXT.encode(), "srf.csv": SRF_TEXT.encode(),
+          "targets.csv": TARGETS_TEXT.encode(), "cube.hsc": CUBE_STREAM,
+          "pred/chip.hsm": MASK_STREAM, "truth/chip.hsm": MASK_STREAM}
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
-    (d / "spec.json").write_text(SPEC_TEXT)
-    (d / "srf.csv").write_text(SRF_TEXT)
-    (d / "targets.csv").write_text(TARGETS_TEXT)
-    (d / "cube.hsc").write_bytes(CUBE_STREAM)
     for side in ("pred", "truth"):
         (d / side).mkdir()
-        (d / side / "chip.hsm").write_bytes(MASK_STREAM)
+    for name, content in INPUTS.items():
+        (d / name).write_bytes(content)
     return d
+
+
+def outputs(workdir) -> tuple[Path, Path]:
+    """The output cube an `adapt` case writes and its manifest."""
+    return workdir / "o.hsc", workdir / "o.hsc.manifest.json"
+
+
+def run_in(workdir, argv: str, mutant: Path, stream: bytes, base: bytes) -> int:
+    """Run `argv` on `mutant` holding `stream`, with no earlier output left, then
+    put `base` back. Returns the exit code, 0 or 1, after checking what the run
+    printed and left: an error line on failure, every input as it was, no
+    output, manifest or temporary file after a failure, and a manifest whose
+    output digest is the output's after a successful `adapt`."""
+    for path in outputs(workdir):
+        path.unlink(missing_ok=True)
+    mutant.write_bytes(stream)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv.format(m=mutant, d=workdir).split())
+        assert mutant.read_bytes() == stream
+    finally:
+        mutant.write_bytes(base)
+    assert rc in (0, 1)
+    assert rc == 0 or err.getvalue().startswith("hsadapt: error:")
+    for name, content in INPUTS.items():
+        assert (workdir / name).read_bytes() == content, name
+    out, manifest = outputs(workdir)
+    if rc == 1:
+        assert not out.exists() and not manifest.exists()
+        assert not list(workdir.rglob(".*.tmp"))
+    elif argv.startswith("adapt"):
+        digests = json.loads(manifest.read_text())["output_digests"]
+        assert digests == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
+    return rc
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -268,15 +307,7 @@ def test_mutated_input_is_a_value_or_a_data_error(workdir, name, data):
     with contextlib.suppress(HsadaptError):
         parse(stream)
     mutant = workdir / "pred" / "chip.hsm" if name == "mask" else workdir / "mutant"
-    mutant.write_bytes(stream)
-    err = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(argv.format(m=mutant, d=workdir).split())
-    finally:
-        mutant.write_bytes(base)
-    assert rc in (0, 1)
-    assert rc == 0 or err.getvalue().startswith("hsadapt: error:")
+    run_in(workdir, argv, mutant, stream, base)
 
 
 # ---------------------------------------------------------------- payload mutants
@@ -326,16 +357,7 @@ def test_payload_mutant_exits_0_or_1(workdir, name, data):
         mutant = workdir / data.draw(st.sampled_from(["pred", "truth"])) / "chip.hsm"
     else:
         base, mutant = CUBE_STREAM, workdir / "mutant"
-    mutant.write_bytes(data.draw(payload_mutants(base)))
-    (workdir / "o.hsc").unlink(missing_ok=True)
-    err = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(PAYLOAD_CASES[name].format(m=mutant, d=workdir).split())
-    finally:
-        mutant.write_bytes(base)
-    assert rc in (0, 1)
-    assert rc == 0 or err.getvalue().startswith("hsadapt: error:")
+    rc = run_in(workdir, PAYLOAD_CASES[name], mutant, data.draw(payload_mutants(base)), base)
     if name == "srf" and rc == 0:
-        out = read_cube((workdir / "o.hsc").read_bytes(), allow_non_finite=True)
+        out = read_cube(outputs(workdir)[0].read_bytes(), allow_non_finite=True)
         assert np.all(np.isfinite(out.data))
