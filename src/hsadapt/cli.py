@@ -228,10 +228,10 @@ def _read_chip(path: str) -> LabelMask:
 
 
 def cmd_metrics_seg(args: argparse.Namespace) -> int:
-    from .metrics import ConfusionMatrix, accumulate_confusion, miou
+    from .metrics import accumulate_confusion, miou
 
     names = _paired_masks(args.pred_dir, args.truth_dir)
-    acc = ConfusionMatrix(n_classes=args.classes)
+    acc = None
     per_chip = []
     for name in names:
         pred_path = os.path.join(args.pred_dir, name)
@@ -243,7 +243,9 @@ def cmd_metrics_seg(args: argparse.Namespace) -> int:
             chip = accumulate_confusion(pred, truth, args.classes, ignore)
         except ValidationError as e:
             raise ValidationError(f"{pred_path} vs {truth_path}: {e}") from None
-        acc.merge(chip)
+        # The first chip is the pool, so a bad one is refused before any
+        # classes² matrix is allocated; every later chip merges into it.
+        acc = chip if acc is None else acc.merge(chip)
         if args.per_chip:
             # A chip with no scored pixel has no mIoU; the mean leaves it out.
             score = miou(chip).miou if chip.counts.any() else None
@@ -480,12 +482,16 @@ def _overwritten_input(args: argparse.Namespace) -> str | None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
+    # The top-level parser takes no option values, so the subcommand is the
+    # first token that is not an option. Any other token before it is the
+    # top-level parser's usage error, reported before the subcommand's parser
+    # can report its own missing options; other usage errors print the
+    # subcommand's usage.
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), 0)
+    unknown = [tok for tok in argv[:at] if tok not in ("-h", "--help", "--version")]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args, leftovers = parser.parse_known_args(argv)
-    # Every token before the subcommand is a leftover of the top-level parser,
-    # which takes no option values; other usage errors print the subcommand's usage.
-    before = argv[: argv.index(args.command)]
-    if before:
-        parser.error(f"unrecognized arguments: {' '.join(before)}")
     if leftovers:
         args.parser.error(f"unrecognized arguments: {' '.join(leftovers)}")
     if args.command == "adapt":

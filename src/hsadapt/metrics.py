@@ -4,7 +4,6 @@ multi-target regression."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,32 +69,6 @@ class RegReport:
         }
 
 
-@functools.lru_cache(maxsize=8)
-def _bin_offsets(n_classes: int, ignore_value: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each int16 label's bin offset as truth (its row times n + 1) and as
-    prediction (its column), indexed by the label's 16-bit pattern.
-
-    Rows and columns 0..n-1 are the classes. Truth row n holds ignored pixels
-    and row n + 1 out-of-range labels; prediction column n holds out-of-range
-    labels. The integer type is the smallest that holds every bin index. The
-    arrays are read-only because every caller shares them.
-    """
-    n = n_classes
-    bins = (n + 2) * (n + 1)
-    dtype = np.int16 if bins <= 1 << 15 else np.int32 if bins <= 1 << 31 else np.int64
-    # Index i is the label whose 16-bit pattern is i: 0..32767, then -32768..-1.
-    # Each table starts as its out-of-range bin; labels 0..n-1 are its first n.
-    rows = np.full(1 << 16, (n + 1) * (n + 1), dtype=dtype)
-    rows[:n] = np.arange(0, n * (n + 1), n + 1, dtype=dtype)
-    if -(1 << 15) <= ignore_value < 1 << 15:  # an ignore value outside int16 matches nothing
-        rows[ignore_value & 0xFFFF] = n * (n + 1)
-    cols = np.full(1 << 16, n, dtype=dtype)
-    cols[:n] = np.arange(n, dtype=dtype)
-    for t in (rows, cols):
-        t.setflags(write=False)
-    return rows, cols
-
-
 def _label_error(p: np.ndarray, t: np.ndarray, n_classes: int, ignore_value: int) -> ValidationError:
     """The first out-of-range label in C order, truth checked before prediction."""
     keep = t != ignore_value
@@ -119,23 +92,31 @@ def accumulate_confusion(
     refuses any negative label other than that header's ignore_value, in
     truth and prediction alike.
     """
-    if n_classes < 1:  # before the tables are built for it
+    if n_classes < 1:  # before any bin is counted for it
         raise ValidationError("need at least one class")
     p = pred.labels
     t = truth.labels
     if p.shape != t.shape:
         raise ValidationError(f"shape mismatch: pred {p.shape} vs truth {t.shape}")
     n = n_classes
-    rows, cols = _bin_offsets(n, ignore_value)
-    # One table lookup per label and one bincount per chip; out-of-range labels
-    # land in the extra bins instead of being screened in separate passes.
-    codes = np.take(rows, t.view(np.uint16))
-    codes += np.take(cols, p.view(np.uint16))
-    hist = np.bincount(codes.ravel(), minlength=(n + 2) * (n + 1)).reshape(n + 2, n + 1)
-    if hist[n + 1].any() or hist[:n, n].any():
+    ignored = t == ignore_value  # an ignore value outside int16 matches nothing
+    # As uint16 every negative label is at least 2**15, so one comparison per
+    # mask finds each label outside [0, n); a bad chip is refused before its
+    # histogram is allocated.
+    bad = np.maximum(t.view(np.uint16), p.view(np.uint16)) >= min(n, 1 << 15)
+    bad &= ~ignored
+    if bad.any():
         raise _label_error(p, t, n, ignore_value)
+    # Each pixel's bin is t·n + p, in the smallest integer type that holds
+    # the n² class bins and the one sentinel bin, n², of the ignored pixels.
+    dtype = np.int16 if n * n < 1 << 15 else np.int32 if n * n < 1 << 31 else np.int64
+    codes = t.astype(dtype)
+    codes *= n
+    codes += p
+    np.copyto(codes, n * n, where=ignored)
+    hist = np.bincount(codes.ravel(), minlength=n * n + 1)
     # The counts are a view of the histogram: the chip costs no second matrix.
-    return ConfusionMatrix(n, counts=hist[:n, :n], ignored_pixels=int(hist[n].sum()))
+    return ConfusionMatrix(n, counts=hist[: n * n].reshape(n, n), ignored_pixels=int(hist[n * n]))
 
 
 def miou(acc: ConfusionMatrix) -> SegReport:

@@ -231,6 +231,19 @@ class TestMetricsSeg:
         err = capsys.readouterr().err
         assert err.startswith(f"hsadapt: error: {tmp_path / 'pred' / 'c.hsm'}: stream too short")
 
+    def test_a_bad_chip_at_the_most_classes_is_refused(self, tmp_path, capsys):
+        """A truth -1 that --ignore does not drop is refused at 32768 classes
+        before any chip's 2**30-bin histogram is allocated."""
+        truth = np.zeros((8, 8), dtype=int)
+        truth[2, 3] = -1
+        self.write_masks(tmp_path / "pred", {"a": np.zeros((8, 8), dtype=int)})
+        self.write_masks(tmp_path / "truth", {"a": truth})
+        assert main(self.seg_argv(tmp_path, "32768", "--ignore", "7")) == 1
+        pair = f"{tmp_path / 'pred' / 'a.hsm'} vs {tmp_path / 'truth' / 'a.hsm'}"
+        assert capsys.readouterr().err == (
+            f"hsadapt: error: {pair}: truth label -1 outside [0, 32768)\n"
+        )
+
     @pytest.mark.parametrize("classes", ["0", "-1", "32769", "3000000"])
     def test_classes_outside_int16_labels_is_usage_error(self, tmp_path, capsys, classes):
         ok = np.zeros((2, 2), dtype=int)
@@ -787,8 +800,11 @@ def test_an_output_that_names_an_input_is_a_usage_error(tmp_path, cube_file, cap
     (["adapt", "--method", "srf", "--sensor", SENSOR, "--input", "chip.hsc"],
      "usage: hsadapt adapt"),
     (["--bogus", "synth", "random", "--height", "2", "--width", "2"], "usage: hsadapt [-h]"),
+    (["--bogus", "adapt"], "usage: hsadapt [-h]"),
+    (["--bogus", "metrics"], "usage: hsadapt [-h]"),
 ], ids=["synth-foreign-option", "adapt-unknown-option", "adapt-srf-without-table",
-        "top-level-unknown-option"])
+        "top-level-unknown-option", "top-level-unknown-option-adapt",
+        "top-level-unknown-option-metrics"])
 def test_a_usage_error_prints_the_usage_of_the_subcommand_run(tmp_path, capsys, argv, usage):
     """An option the subcommand does not take and `adapt`'s `--srf` rules are
     reported with that subcommand's usage, not the top-level one; an option

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hsadapt.cube_io import LabelMask
 from hsadapt.errors import DegenerateBaselineError, ValidationError
 from hsadapt.metrics import (
     ConfusionMatrix,
-    _bin_offsets,
     accumulate_confusion,
     baseline_mse,
     miou,
@@ -82,31 +82,80 @@ class TestAccumulateConfusion:
             assert acc.ignored_pixels == oi
 
 
-@pytest.mark.parametrize("n", [1, 2, 12, 179, 180, 300, 2048, 32768])
+EVERY_LABEL = np.arange(-(2**15), 2**15, dtype=np.int16)
+
+
+def labels(arr):
+    """A label array as accumulate_confusion reads it, whatever it holds: a
+    LabelMask refuses every negative label but its own ignore_value."""
+    return SimpleNamespace(labels=np.asarray(arr, dtype=np.int16).reshape(1, -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 179, 180, 181, 182, 300, 2048, 32768])
 @pytest.mark.parametrize("ignore", [-1, 0, 1, -(2**15), 2**15 - 1, 2**15, -(2**15) - 1])
 def test_label_tables_match_a_per_label_build(n, ignore):
-    """Each 16-bit pattern's row and column, as one comparison per label
-    gives them, in the smallest integer type that holds every bin index."""
-    labels = np.arange(1 << 16, dtype=np.uint16).view(np.int16).astype(np.int64)
-    in_range = (labels >= 0) & (labels < n)
-    want_rows = np.where(labels == ignore, n, np.where(in_range, labels, n + 1)) * (n + 1)
-    want_cols = np.where(in_range, labels, n)
-    rows, cols = _bin_offsets(n, ignore)
-    assert rows.dtype == cols.dtype == (np.int16 if n < 180 else np.int32)
-    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-    assert not rows.flags.writeable and not cols.flags.writeable
+    """Every int16 label, as truth beside prediction 0 and as prediction
+    beside truth 0 (1 when 0 is the ignore value and 1 a class), is
+    counted, ignored or refused as one comparison per label says. The
+    labels it accepts, in one chip, each fill their own cell or the ignored
+    count. A chip of every label is refused with the first label it
+    refuses, and so is each refused label that borders an accepted one or
+    ends the int16 range, alone. At n = 32768 only the refusals are
+    checked: counting would take 2**30 bins."""
+    kept = next((c for c in range(min(n, 2)) if c != ignore), 0)
+    for side in ("truth", "pred"):
+        t = EVERY_LABEL if side == "truth" else np.full(1 << 16, kept, dtype=np.int16)
+        p = EVERY_LABEL if side == "pred" else np.zeros(1 << 16, dtype=np.int16)
+        ignored = t == ignore
+        refused = ~ignored & ((t < 0) | (t >= n) | (p < 0) | (p >= n))
+        if n < 2**15:
+            ok = ~refused
+            chip = accumulate_confusion(labels(p[ok]), labels(t[ok]), n, ignore)
+            want = np.zeros((n, n), dtype=np.int64)
+            np.add.at(want, (t[ok & ~ignored], p[ok & ~ignored]), 1)
+            assert np.array_equal(chip.counts, want)
+            assert chip.ignored_pixels == np.count_nonzero(ignored)
+        if not refused.any():
+            continue
+        first = EVERY_LABEL[refused][0]
+        with pytest.raises(ValidationError, match=rf"^{side} label {first} outside \[0, {n}\)$"):
+            accumulate_confusion(labels(p), labels(t), n, ignore)
+        beside = np.concatenate(([True], ~refused, [True]))  # the ends of int16 count
+        for i in np.flatnonzero(refused & (beside[:-2] | beside[2:])):
+            with pytest.raises(ValidationError, match=rf"^{side} label {EVERY_LABEL[i]} outside"):
+                accumulate_confusion(labels(p[i : i + 1]), labels(t[i : i + 1]), n, ignore)
 
 
-def test_label_tables_are_built_in_place():
-    """The two 65,536-entry int16 tables take 256 KiB, and building them
-    takes little more."""
+def test_scoring_a_chip_holds_little_more_than_its_bin_codes():
+    """Scoring one 128×128 chip at 12 classes holds its int16 bin codes and
+    bincount's 64-bit copy of them (160 KiB) and a few pixel masks: no
+    table per label."""
+    rng = np.random.default_rng(3)
+    truth = rng.integers(-1, 12, (128, 128), dtype=np.int16)
+    pred = rng.integers(0, 12, (128, 128), dtype=np.int16)
     tracemalloc.start()
     try:
-        _bin_offsets.__wrapped__(12, -1)
+        chip = accumulate_confusion(mask(pred), mask(truth), 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert chip.counts.sum() + chip.ignored_pixels == 128 * 128
     assert peak <= 300 * 1024
+
+
+def test_a_bad_chip_is_refused_before_its_histogram_is_allocated():
+    """At 32768 classes a chip's histogram would hold 2**30 bins; a truth
+    label -1 that is not the ignore value is refused without one."""
+    truth = np.zeros((128, 128), dtype=np.int16)
+    truth[5, 9] = -1  # the mask's own ignore_value, but not the one scored
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"^truth label -1 outside \[0, 32768\)$"):
+            accumulate_confusion(mask(np.zeros_like(truth)), mask(truth), 32768, ignore_value=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 class TestMiou:

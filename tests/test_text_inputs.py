@@ -299,7 +299,7 @@ def test_unmutated_inputs_are_accepted(workdir, name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutated_input_is_a_value_or_a_data_error(workdir, name, data):
     base, span, json_at, parse, argv = CASES[name]
@@ -349,7 +349,7 @@ PAYLOAD_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(PAYLOAD_CASES))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_payload_mutant_exits_0_or_1(workdir, name, data):
     if name == "seg":
