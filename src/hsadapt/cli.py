@@ -133,8 +133,8 @@ def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> t
 
         plan = nearest_band_indices(grid, spec)
         extra = {"selection_plan": plan.summary() | {"source_grid_hash": grid_hash}}
-        # Strips of at most 1 MiB: the reader holds two small strips while
-        # the worker hashes one, and the gather has no run size to fill.
+        # Strips of at most 1 MiB: the reader and its digest worker hold one,
+        # and the gather has no run size to fill.
         return lambda strip: apply_selection(strip, plan), NAIVE_STRIP_BYTES, {}, extra
     import hashlib
     from .resample import build_weight_matrix, resample_cube
@@ -182,7 +182,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         adapt, strip_bytes, srf_inputs, extra = _plan(args, spec, WavelengthGrid(src.wavelengths))
         with atomic_files(out_path, _manifest_path(out_path)) as (out, manifest):
             dst = CubeWriter(out, src.height)
-            for strip in src.strips(rows=src.strip_rows(strip_bytes)):
+            for strip in src.strips(strip_bytes):
                 if not args.allow_nan:
                     require_finite(strip.data, "--allow-nan")
                 dst.write(adapt(strip))

@@ -7,7 +7,7 @@ little-endian payload whose size is fully determined by the header.
 Cubes are decoded and encoded in row strips (`CubeReader`, `CubeWriter`), so
 `hsadapt adapt` never holds a whole scene; `read_cube` is the one-strip case.
 A reader given a hasher hands it each strip whole on one worker thread, so a
-strip is hashed while it is adapted and the next one is read.
+strip is hashed while it is adapted and written.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class HyperCube:
     """H×W×C float32 cube, pixel-interleaved, with per-band center wavelengths.
 
     Input cubes have strictly increasing wavelengths (see the `grid` property);
-    adapted output cubes keep target-band order, which may repeat a wavelength
+    adapted output cubes are in target-band order, which may repeat a wavelength
     when two targets select the same input band.
     """
 
@@ -111,8 +111,8 @@ class LabelMask:
         self.labels.setflags(write=False)
 
 
-# Payload bytes a reader holds at most: one strip of this size by default,
-# or two smaller strips when it reads one ahead of the digest worker.
+# Payload bytes per strip at most, unless one row is larger: the one strip a
+# reader and its digest worker hold.
 STRIP_BYTES = 16 * 1024 * 1024
 # A declared header longer than this is refused unread, so a header's memory
 # does not follow the file size. A 202-band cube's header is about 1.5 KB.
@@ -127,7 +127,7 @@ FINITE_CHECK_PIXELS = 512
 def _all_finite(x: np.ndarray) -> bool:
     """np.all(np.isfinite(x)) for pixel data (band axis last), taken over
     slices of the leading axis of at most FINITE_CHECK_PIXELS pixels each.
-    A slice keeps x's shape, so a small strip is checked in one call."""
+    A slice has x's shape, so a small strip is checked in one call."""
     pixels = math.prod(x.shape[1:-1])  # per item of the leading axis
     if pixels > FINITE_CHECK_PIXELS:
         return all(_all_finite(item) for item in x)
@@ -197,6 +197,25 @@ def _container_prefix(magic: bytes, header: dict) -> bytes:
     return magic + struct.pack("<Q", len(hdr)) + hdr
 
 
+def _check_cube_header(header: dict) -> tuple[int, int, int, tuple[float, ...]]:
+    """A cube header's dimensions and wavelengths, checked by the rules that
+    every cube read or written follows."""
+    h, w, c = _header_dims(header, ("h", "w", "c"), "f32le")
+    if header.get("layout") != "bip":
+        raise FormatError(f"unsupported layout {header.get('layout')!r}")
+    wavelengths = header.get("wavelengths_nm")
+    if not isinstance(wavelengths, list) or len(wavelengths) != c:
+        raise FormatError("wavelengths_nm must list exactly c values")
+    values = tuple(json_float(v, "wavelengths_nm value") for v in wavelengths)
+    wl = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(wl)) or np.any(wl <= 0):
+        raise FormatError("wavelengths_nm must be finite and positive")
+    # Ties are legal (repeated nearest-band selections); decreasing is not.
+    if np.any(np.diff(wl) < 0):
+        raise FormatError("wavelengths_nm must be monotone non-decreasing")
+    return h, w, c, values
+
+
 def _cube_prefix(h: int, w: int, wavelengths: tuple[float, ...]) -> bytes:
     header = {
         "h": h,
@@ -206,6 +225,7 @@ def _cube_prefix(h: int, w: int, wavelengths: tuple[float, ...]) -> bytes:
         "dtype": "f32le",
         "layout": "bip",
     }
+    _check_cube_header(header)  # so no cube is written that a reader refuses
     return _container_prefix(CUBE_MAGIC, header)
 
 
@@ -214,14 +234,13 @@ def _bytes_of(a: np.ndarray) -> memoryview:
 
 
 class _DigestWorker:
-    """Feeds `hasher` on one thread, one strip at a time, in the order `feed`
-    is called.
+    """Feeds `hasher` on one thread, one strip at a time.
 
     `feed` hands over a view of a whole strip, not a copy, so the caller must
-    not reuse or free its buffer until the worker has hashed it. `wait(keep)`
-    returns once every strip fed but the latest `keep` is hashed and no longer
-    held by the worker. An exception from `hasher.update` stops the hashing
-    and is raised by the next `wait`.
+    not reuse or free its buffer until the worker has hashed it. `wait`
+    returns once the strip fed last is hashed and no longer held by the
+    worker, or raises what `hasher.update` raised on it. A caller feeds one
+    strip, then waits for it, and feeds nothing after a failed update.
     """
 
     _STOP = object()
@@ -233,33 +252,28 @@ class _DigestWorker:
 
         self._todo = SimpleQueue()
         self._done = SimpleQueue()
-        self._fed = 0  # strips fed but not yet waited for
         self._thread = threading.Thread(
             target=self._run, args=(hasher,), name="hsadapt-digest", daemon=True
         )
         self._thread.start()
 
     def _run(self, hasher) -> None:
-        error = None
         for strip in iter(self._todo.get, self._STOP):
-            if error is None:
-                try:
-                    hasher.update(strip)
-                except BaseException as e:  # raised on the reader's thread by wait()
-                    error = e
+            error = None
+            try:
+                hasher.update(strip)
+            except BaseException as e:  # raised on the reader's thread by wait()
+                error = e
             del strip  # not held while the worker waits for the next one
             self._done.put(error)
 
     def feed(self, strip) -> None:
         self._todo.put(strip)
-        self._fed += 1
 
-    def wait(self, keep: int = 0) -> None:
-        while self._fed > keep:
-            self._fed -= 1
-            error = self._done.get()  # the oldest strip's
-            if error is not None:
-                raise error
+    def wait(self) -> None:
+        error = self._done.get()
+        if error is not None:
+            raise error
 
     def stop(self) -> None:
         self._todo.put(self._STOP)
@@ -277,12 +291,11 @@ class CubeReader:
     which `strips()` starts at the first strip and joins when it ends, however
     it ends.
 
-    The reader keeps no reference to a strip once it has yielded it. Before it
-    decodes strip i+1 it waits until the worker has hashed strip i, or only
-    strip i-1 when two strips fit in STRIP_BYTES. So the reader and its worker
-    hold at most STRIP_BYTES of payload, or one strip if a strip is larger,
-    when the consumer drops each strip (and every view of it) before asking
-    for the next; one that keeps its loop variable bound holds one strip more.
+    The reader holds no reference to a strip once it has yielded it, and it
+    decodes strip i+1 only once the worker has hashed strip i. So the reader
+    and its worker hold one strip at most, when the consumer drops each strip
+    (and every view of it) before asking for the next; one that leaves its
+    loop variable bound holds one strip more.
 
     Strips may hold NaN and infinity; a caller that refuses them checks each
     strip itself (`read_cube`, `adapt`'s strip loop and `resample_cube` do).
@@ -292,49 +305,26 @@ class CubeReader:
         self._f = f
         self._hasher = hasher
         head, payload_len = _read_header(f, CUBE_MAGIC)
-        header = json_object(head[12:], "header")
-        h, w, c = _header_dims(header, ("h", "w", "c"), "f32le")
-        if header.get("layout") != "bip":
-            raise FormatError(f"unsupported layout {header.get('layout')!r}")
-        wavelengths = header.get("wavelengths_nm")
-        if not isinstance(wavelengths, list) or len(wavelengths) != c:
-            raise FormatError("wavelengths_nm must list exactly c values")
-        values = tuple(json_float(v, "wavelengths_nm value") for v in wavelengths)
-        wl = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(wl)) or np.any(wl <= 0):
-            raise FormatError("wavelengths_nm must be finite and positive")
-        # Ties are legal (repeated nearest-band selections); decreasing is not.
-        if np.any(np.diff(wl) < 0):
-            raise FormatError("wavelengths_nm must be monotone non-decreasing")
+        h, w, c, values = _check_cube_header(json_object(head[12:], "header"))
         _check_payload(payload_len, h * w * c * 4)
         if hasher is not None:
             hasher.update(head)
         self.height, self.width, self.bands = h, w, c
         self.wavelengths = values
 
-    def strip_rows(self, max_bytes: int | None = None) -> int:
-        """Rows per strip: as many whole rows as fit in `max_bytes` and in
-        STRIP_BYTES (the default), but at least one."""
+    def strips(self, max_bytes: int | None = None) -> Iterator[HyperCube]:
+        """Yield the cube as consecutive strips of as many whole rows as fit in
+        `max_bytes` and in STRIP_BYTES (the default), but at least one; the
+        last strip may be shorter."""
         budget = STRIP_BYTES if max_bytes is None else min(max_bytes, STRIP_BYTES)
-        return max(1, budget // (self.width * self.bands * 4))
-
-    def strips(self, rows: int | None = None) -> Iterator[HyperCube]:
-        """Yield the cube as consecutive strips of `rows` rows (the last may be
-        shorter); by default as many rows as fit in STRIP_BYTES, at least one."""
-        if rows is None:
-            rows = self.strip_rows()
-        # Strips the worker may still be hashing when the next one is decoded:
-        # one if two strips fit in STRIP_BYTES.
-        ahead = 1 if 2 * rows <= self.strip_rows() else 0
+        rows = max(1, budget // (self.width * self.bands * 4))
         digest = None if self._hasher is None else _DigestWorker(self._hasher)
         try:
             for r0 in range(0, self.height, rows):
-                if digest is not None:
-                    digest.wait(keep=ahead)  # before the next strip is allocated
                 # Decoded in a helper, so this frame holds nothing across the yield.
                 yield self._read_strip(min(rows, self.height - r0), digest)
-            if digest is not None:
-                digest.wait()
+                if digest is not None:
+                    digest.wait()  # before the next strip is allocated
         finally:
             if digest is not None:
                 digest.stop()
@@ -356,7 +346,7 @@ class CubeReader:
 def read_cube(stream: bytes, allow_non_finite: bool = False) -> HyperCube:
     """Decode a whole in-memory HSC-v1 stream as one strip."""
     src = CubeReader(io.BytesIO(stream))
-    (cube,) = src.strips(rows=src.height)
+    cube = src._read_strip(src.height, None)
     if not allow_non_finite:
         require_finite(cube.data, "allow_non_finite")
     return cube
@@ -448,7 +438,7 @@ def atomic_files(*paths: str | os.PathLike) -> Iterator[list[BinaryIO]]:
 def _mask_header(head: bytes) -> tuple[int, int, int]:
     """A mask header's height, width and ignore value, decoded and checked
     once per distinct header. A header that fails raises on every call, since
-    lru_cache keeps no exception."""
+    lru_cache caches no exception."""
     header = json_object(head[12:], "header")
     h, w = _header_dims(header, ("h", "w"), "i16le")
     ignore = header.get("ignore_value", -1)
@@ -477,14 +467,15 @@ def write_mask(mask: LabelMask) -> bytes:
         "dtype": "i16le",
         "ignore_value": mask.ignore_value,
     }
-    payload = np.ascontiguousarray(mask.labels, dtype="<i2").tobytes()
-    return _container_prefix(MASK_MAGIC, header) + payload
+    prefix = _container_prefix(MASK_MAGIC, header)
+    _mask_header(prefix)  # so no mask is written that read_mask refuses
+    return prefix + np.ascontiguousarray(mask.labels, dtype="<i2").tobytes()
 
 
 def read_targets_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
     """Parse a regression-targets CSV.
 
-    Returns (sample_ids, parameter_names, N×P float array). Rows keep file
+    Returns (sample_ids, parameter_names, N×P float array). Rows are in file
     order; duplicate sample ids, ragged rows, and non-finite cells are errors.
     """
     names, ids, table = read_numeric_csv(text, "targets CSV", "sample_id", text_key=True)

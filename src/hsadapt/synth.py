@@ -38,11 +38,17 @@ def absorption_spectrum(grid: WavelengthGrid, feature: AbsorptionFeatureSpec) ->
     return feature.continuum - feature.depth * np.exp(-4.0 * np.log(2.0) * arg * arg)
 
 
+def _require_float32_finite(value: float, name: str) -> None:
+    """Refuse a value that float32, the cube's storage, rounds to infinity."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float32(value)):
+            raise ValidationError(f"{name} must be finite as float32")
+
+
 def gen_flat_cube(h: int, w: int, grid: WavelengthGrid, value: float) -> HyperCube:
     if h < 1 or w < 1:
         raise ValidationError("cube dimensions must be positive")
-    if not np.isfinite(value):
-        raise ValidationError("value must be finite")
+    _require_float32_finite(value, "value")
     data = np.full((h, w, len(grid)), value, dtype=np.float32)
     return HyperCube(data=data, wavelengths=tuple(grid.values))
 
@@ -52,6 +58,8 @@ def gen_absorption_cube(
 ) -> HyperCube:
     if h < 1 or w < 1:
         raise ValidationError("cube dimensions must be positive")
+    # Every sample lies in [continuum - depth, continuum], so this bounds them all.
+    _require_float32_finite(feature.continuum, "continuum")
     lam = grid.as_array()
     if not lam[0] <= feature.center <= lam[-1]:
         raise ValidationError(

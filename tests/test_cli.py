@@ -84,6 +84,20 @@ class TestAdapt:
         for srf in (None, SRF):
             assert main(adapt_argv(tmp_path, src, srf=srf) + ["--allow-nan"]) == 0
 
+    def test_a_sensor_in_descending_band_order_is_refused(self, tmp_path, cube_file, capsys):
+        """Output bands follow the sensor's order and a written cube's
+        wavelengths may not decrease, so both methods refuse a reversed
+        sensor, write nothing and leave no temporary file."""
+        spec = json.loads(Path(SENSOR).read_text(encoding="utf-8"))
+        spec["bands"].reverse()
+        sensor = put(tmp_path, "reversed.json", json.dumps(spec))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        for srf in (None, SRF):
+            assert main(adapt_argv(tmp_path, cube_file, sensor=sensor, srf=srf)) == 1
+            err = capsys.readouterr().err
+            assert err == "hsadapt: error: wavelengths_nm must be monotone non-decreasing\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_srf_without_table_is_usage_error(self, tmp_path, cube_file):
         with pytest.raises(SystemExit) as e:
             main(["adapt", "--method", "srf", "--sensor", SENSOR,
@@ -475,6 +489,17 @@ class TestSynthInspect:
         j = cube.wavelengths.index(700.0)
         assert cube.data.min() == np.float32(0.5)
         assert cube.data[0, 0, j] == np.float32(0.5)
+
+    @pytest.mark.parametrize("generator, option", [("flat", "value"), ("absorption", "continuum")])
+    def test_a_value_beyond_float32_is_a_data_error(self, tmp_path, capsys, generator, option):
+        """Exit 1 with one error line naming the option; no overflow warning
+        (an error under the test configuration) and no output."""
+        out = tmp_path / "o.hsc"
+        argv = ["synth", generator, "--height", "2", "--width", "2", f"--{option}", "1e39",
+                "--output", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"hsadapt: error: {option} must be finite as float32\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_random_deterministic_across_runs(self, tmp_path):
         a, b = tmp_path / "a.hsc", tmp_path / "b.hsc"

@@ -377,6 +377,24 @@ class TestCubeWriter:
             dst.hexdigest()
 
 
+@pytest.mark.parametrize("shape, wavelengths, match", [
+    ((0, 2, 2), (400.0, 500.0), "'h' must be a positive integer"),
+    ((2, 0, 2), (400.0, 500.0), "'w' must be a positive integer"),
+    ((2, 2, 0), (), "'c' must be a positive integer"),
+    ((2, 2, 3), (400.0, 500.0, 450.0), "monotone non-decreasing"),
+], ids=["no-rows", "no-columns", "no-bands", "decreasing"])
+def test_the_cube_encoders_refuse_what_the_decoder_refuses(shape, wavelengths, match):
+    """write_cube and CubeWriter check the header they would write by the
+    decoder's rules, and CubeWriter writes nothing of a refused cube."""
+    cube = HyperCube(data=np.zeros(shape, dtype=np.float32), wavelengths=wavelengths)
+    with pytest.raises(FormatError, match=match):
+        write_cube(cube)
+    f = io.BytesIO()
+    with pytest.raises(FormatError, match=match):
+        CubeWriter(f, shape[0]).write(cube)
+    assert f.getvalue() == b""
+
+
 class TestMaskFormat:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -402,6 +420,13 @@ class TestMaskFormat:
     def test_bad_magic(self):
         with pytest.raises(FormatError):
             read_mask(b"XXXX" + b"\x00" * 20)
+
+    @pytest.mark.parametrize("shape, key", [((0, 3), "h"), ((3, 0), "w")],
+                             ids=["no-rows", "no-columns"])
+    def test_an_empty_mask_is_not_written(self, shape, key):
+        """read_mask refuses a zero dimension, so write_mask does too."""
+        with pytest.raises(FormatError, match=f"'{key}' must be a positive integer"):
+            write_mask(LabelMask(labels=np.zeros(shape, dtype=np.int16)))
 
 
 class TestTargetsCsv:

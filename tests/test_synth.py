@@ -53,6 +53,19 @@ class TestGenerators:
         assert cube.data.shape == (2, 2, 3)
         assert np.all(cube.data == np.float32(0.7))
 
+    def test_values_that_float32_rounds_to_infinity_are_refused(self):
+        """The cube stores float32, so a finite float64 beyond its range is
+        refused (not cast to +inf with an overflow warning), and float32's
+        largest value is kept."""
+        for value in (1e39, -1e39):
+            with pytest.raises(ValidationError, match="value must be finite as float32"):
+                gen_flat_cube(2, 2, GRID_3, value)
+        largest = float(np.finfo(np.float32).max)
+        assert np.all(gen_flat_cube(1, 1, GRID_3, largest).data == np.float32(largest))
+        feature = AbsorptionFeatureSpec(continuum=1e39, center=600.0, depth=0.2, fwhm=10.0)
+        with pytest.raises(ValidationError, match="continuum must be finite as float32"):
+            gen_absorption_cube(2, 2, GRID_3, feature)
+
     def test_flat_zero_resamples_to_zero(self):
         grid = GRID_3
         table = SrfTable(
