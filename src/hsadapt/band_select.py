@@ -3,6 +3,7 @@ closest center wavelength and gather those channels unmodified."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,12 @@ class SelectionPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "source_wavelengths", tuple(map(float, self.source_wavelengths)))
+
+    @functools.cached_property
+    def wavelengths(self) -> tuple[float, ...]:
+        """The adapted cube's wavelengths: the selected input wavelengths in
+        target-band order (ties repeat when two targets select the same band)."""
+        return tuple(self.source_wavelengths[j] for j in self.indices)
 
     def summary(self) -> dict:
         counts: dict[int, int] = {}
@@ -58,11 +65,8 @@ def nearest_band_indices(grid: WavelengthGrid, spec: SensorSpec) -> SelectionPla
 
 
 def apply_selection(cube: HyperCube, plan: SelectionPlan) -> HyperCube:
-    """Gather the planned channels into a K-band cube. Pure gather, no arithmetic.
-
-    The output wavelength list carries the selected input wavelengths in
-    target-band order (ties repeat when two targets select the same band).
-    """
+    """Gather the planned channels into a K-band cube with the plan's
+    `wavelengths`. Pure gather, no arithmetic."""
     if plan.source_wavelengths != cube.wavelengths:
         raise GridMismatchError("selection plan was built for a different wavelength grid")
     for j in plan.indices:
@@ -70,5 +74,4 @@ def apply_selection(cube: HyperCube, plan: SelectionPlan) -> HyperCube:
             raise ValidationError(f"plan index {j} out of range for {cube.bands}-band cube")
     idx = np.asarray(plan.indices, dtype=np.intp)
     out = np.ascontiguousarray(cube.data[:, :, idx])
-    selected = tuple(cube.wavelengths[j] for j in plan.indices)
-    return HyperCube(data=out, wavelengths=selected)
+    return HyperCube(data=out, wavelengths=plan.wavelengths)

@@ -124,9 +124,9 @@ def _emit_report(report: dict, text_lines: list[str], out: str | None) -> None:
 
 def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> tuple:
     """What `--method` makes of the input grid, built once per run: the
-    function that adapts one checked strip, the strip budget in bytes (None
-    for the reader's default), the SRF's input digest and the method's
-    manifest fields, with the grid's digest."""
+    function that adapts one checked strip, the adapted cube's wavelengths,
+    the strip budget in bytes (None for the reader's default), the SRF's
+    input digest and the method's manifest fields, with the grid's digest."""
     grid_hash = wavelength_digest(grid.values)
     if args.method == "naive":
         from .band_select import apply_selection, nearest_band_indices
@@ -135,7 +135,8 @@ def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> t
         extra = {"selection_plan": plan.summary() | {"source_grid_hash": grid_hash}}
         # Strips of at most 1 MiB: the reader and its digest worker hold one,
         # and the gather has no run size to fill.
-        return lambda strip: apply_selection(strip, plan), NAIVE_STRIP_BYTES, {}, extra
+        adapt = lambda strip: apply_selection(strip, plan)
+        return adapt, plan.wavelengths, NAIVE_STRIP_BYTES, {}, extra
     import hashlib
     from .resample import build_weight_matrix, resample_cube
 
@@ -152,13 +153,14 @@ def _plan(args: argparse.Namespace, spec: SensorSpec, grid: WavelengthGrid) -> t
     }
     # Strips of up to STRIP_BYTES, so a 128×128×202 chip is one kernel call.
     # The strip loop has checked each strip, so the kernel checks no run.
-    return lambda strip: resample_cube(strip, w, allow_nan=True), None, srf_inputs, extra
+    adapt = lambda strip: resample_cube(strip, w, allow_nan=True)
+    return adapt, w.band_centers, None, srf_inputs, extra
 
 
 def cmd_adapt(args: argparse.Namespace) -> int:
-    """One pass over the input: check its header, plan, then read, check,
-    adapt, write and hash one row strip at a time, so memory is bounded by a
-    strip."""
+    """One pass over the input: check its header, plan, write the output's
+    header, then read, check, adapt, write and hash one row strip at a time,
+    so memory is bounded by a strip."""
     import hashlib  # loads OpenSSL, which only the commands that hash need
 
     started = time.monotonic()
@@ -179,9 +181,11 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     in_hash = hashlib.sha256()
     with in_path.open("rb") as f:
         src = CubeReader(f, hasher=in_hash)  # the strip loop checks finiteness
-        adapt, strip_bytes, srf_inputs, extra = _plan(args, spec, WavelengthGrid(src.wavelengths))
+        grid = WavelengthGrid(src.wavelengths)
+        adapt, wavelengths, strip_bytes, srf_inputs, extra = _plan(args, spec, grid)
         with atomic_files(out_path, _manifest_path(out_path)) as (out, manifest):
-            dst = CubeWriter(out, src.height)
+            # Refuses a band order that no reader accepts before a strip is read.
+            dst = CubeWriter(out, src.height, src.width, wavelengths)
             for strip in src.strips(strip_bytes):
                 if not args.allow_nan:
                     require_finite(strip.data, "--allow-nan")
@@ -310,7 +314,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         cube = gen_random_cube(args.height, args.width, grid, args.seed)
     out_path = Path(args.output)
     with atomic_files(out_path, _manifest_path(out_path)) as (f, manifest):
-        dst = CubeWriter(f, cube.height)
+        dst = CubeWriter(f, cube.height, cube.width, cube.wavelengths)
         dst.write(cube)  # the whole cube as one strip, written without a copy
         params = {k: v for k, v in vars(args).items() if k not in ("func", "parser")}
         _write_manifest(manifest, out_path, dst.hexdigest(), "synth", params, {}, {}, started)

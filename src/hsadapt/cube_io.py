@@ -6,6 +6,8 @@ little-endian payload whose size is fully determined by the header.
 
 Cubes are decoded and encoded in row strips (`CubeReader`, `CubeWriter`), so
 `hsadapt adapt` never holds a whole scene; `read_cube` is the one-strip case.
+Both handle the header when they are made: a reader checks it, a writer
+checks and writes it, so a bad header fails before a payload byte moves.
 A reader given a hasher hands it each strip whole on one worker thread, so a
 strip is hashed while it is adapted and written.
 """
@@ -353,32 +355,31 @@ def read_cube(stream: bytes, allow_non_finite: bool = False) -> HyperCube:
 
 
 class CubeWriter:
-    """Encoder for an HSC-v1 stream of `height` rows.
+    """Encoder for an HSC-v1 stream of `height` × `width` pixels of `wavelengths`.
 
-    `write` appends row strips. The first strip's width and wavelengths make
-    the header, which goes out just before it; every later strip must match
-    them. Every byte written is also hashed. `hexdigest()` checks that all
-    rows arrived and returns the SHA-256 of the whole stream.
+    The constructor writes the header, checked by the decoder's rules, so a
+    cube no reader accepts fails before any strip is made. `write` appends
+    row strips, each of which must match the header. Every byte written is
+    also hashed. `hexdigest()` checks that all rows arrived and returns the
+    SHA-256 of the whole stream.
     """
 
-    def __init__(self, f: BinaryIO, height: int):
+    def __init__(self, f: BinaryIO, height: int, width: int, wavelengths):
         import hashlib  # loads OpenSSL, which only the commands that hash need
 
         self._f = f
         self._hasher = hashlib.sha256()
-        self.height = height
-        self.wavelengths = None  # with the width, set by the first strip
+        self.height, self.width = height, width
+        self.wavelengths = tuple(map(float, wavelengths))  # as a strip's HyperCube holds them
         self.rows = 0
+        self._put(_cube_prefix(height, width, self.wavelengths))
 
     def _put(self, buf) -> None:
         self._f.write(buf)
         self._hasher.update(buf)
 
     def write(self, strip: HyperCube) -> None:
-        if self.wavelengths is None:
-            self.width, self.wavelengths = strip.width, strip.wavelengths
-            self._put(_cube_prefix(self.height, self.width, self.wavelengths))
-        elif strip.width != self.width or strip.wavelengths != self.wavelengths:
+        if strip.width != self.width or strip.wavelengths != self.wavelengths:
             raise ValidationError("strip does not match the cube header being written")
         self._put(_bytes_of(np.ascontiguousarray(strip.data, dtype="<f4")))
         self.rows += strip.height

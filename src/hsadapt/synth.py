@@ -34,8 +34,11 @@ class AbsorptionFeatureSpec:
 
 def absorption_spectrum(grid: WavelengthGrid, feature: AbsorptionFeatureSpec) -> np.ndarray:
     lam = grid.as_array()
-    arg = (lam - feature.center) / feature.fwhm
-    return feature.continuum - feature.depth * np.exp(-4.0 * np.log(2.0) * arg * arg)
+    # A line far narrower than the grid overflows arg² (or arg) to infinity,
+    # and exp(-inf) = 0 is that line's exact value off its center.
+    with np.errstate(over="ignore"):
+        arg = (lam - feature.center) / feature.fwhm
+        return feature.continuum - feature.depth * np.exp(-4.0 * np.log(2.0) * arg * arg)
 
 
 def _require_float32_finite(value: float, name: str) -> None:

@@ -86,7 +86,12 @@ class TestApplySelection:
         assert out.data.shape == (2, 2, 2)
         assert np.array_equal(out.data[..., 0], data[..., 2])
         assert np.array_equal(out.data[..., 1], data[..., 0])
-        assert out.wavelengths == (700.0, 500.0)
+        assert out.wavelengths == plan.wavelengths == (700.0, 500.0)
+        # a repeated index repeats its wavelength
+        plan = SelectionPlan(indices=(1, 1, 2), distances=(0.0,) * 3, source_wavelengths=grid)
+        out = apply_selection(cube, plan)
+        assert np.array_equal(out.data, data[..., [1, 1, 2]])
+        assert out.wavelengths == plan.wavelengths == (600.0, 600.0, 700.0)
 
     def test_full_scale_chip_gather(self):
         # 128×128×202 chip down to 12 bands

@@ -84,19 +84,30 @@ class TestAdapt:
         for srf in (None, SRF):
             assert main(adapt_argv(tmp_path, src, srf=srf) + ["--allow-nan"]) == 0
 
-    def test_a_sensor_in_descending_band_order_is_refused(self, tmp_path, cube_file, capsys):
+    def test_a_sensor_in_descending_band_order_is_refused(
+        self, tmp_path, cube_file, capsys, monkeypatch
+    ):
         """Output bands follow the sensor's order and a written cube's
         wavelengths may not decrease, so both methods refuse a reversed
-        sensor, write nothing and leave no temporary file."""
+        sensor before reading a payload strip, write nothing and leave no
+        temporary file."""
         spec = json.loads(Path(SENSOR).read_text(encoding="utf-8"))
         spec["bands"].reverse()
         sensor = put(tmp_path, "reversed.json", json.dumps(spec))
         before = sorted(p.name for p in tmp_path.iterdir())
+        reads, read_strip = [], CubeReader._read_strip
+
+        def counting(self, *args):
+            reads.append(args)
+            return read_strip(self, *args)
+
+        monkeypatch.setattr(CubeReader, "_read_strip", counting)
         for srf in (None, SRF):
             assert main(adapt_argv(tmp_path, cube_file, sensor=sensor, srf=srf)) == 1
             err = capsys.readouterr().err
             assert err == "hsadapt: error: wavelengths_nm must be monotone non-decreasing\n"
             assert sorted(p.name for p in tmp_path.iterdir()) == before
+            assert reads == []
 
     def test_srf_without_table_is_usage_error(self, tmp_path, cube_file):
         with pytest.raises(SystemExit) as e:
@@ -489,6 +500,17 @@ class TestSynthInspect:
         j = cube.wavelengths.index(700.0)
         assert cube.data.min() == np.float32(0.5)
         assert cube.data[0, 0, j] == np.float32(0.5)
+
+    def test_a_very_narrow_line_is_written_without_a_warning(self, tmp_path, capsys):
+        out = tmp_path / "n.hsc"
+        rc = main(["synth", "absorption", "--height", "2", "--width", "2", "--bands", "50",
+                   "--grid-start", "400", "--grid-step", "5", "--center", "500",
+                   "--fwhm", "1e-300", "--output", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        cube = read_cube(out.read_bytes())
+        assert cube.data.min() == np.float32(0.5)
+        assert np.count_nonzero(cube.data == np.float32(0.5)) == 4
 
     @pytest.mark.parametrize("generator, option", [("flat", "value"), ("absorption", "continuum")])
     def test_a_value_beyond_float32_is_a_data_error(self, tmp_path, capsys, generator, option):

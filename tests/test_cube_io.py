@@ -340,8 +340,8 @@ def test_finiteness_check_takes_at_most_512_pixels_at_a_time(monkeypatch, shape)
 
 
 class TestCubeWriter:
-    """The writer takes its header from the first strip, checks every later
-    strip against it, and checks the row count when asked for the digest."""
+    """The writer writes its header when it is made, checks every strip
+    against it, and checks the row count when asked for the digest."""
 
     cube = random_cube(np.random.default_rng(4), 7, 3, 5)
 
@@ -349,9 +349,21 @@ class TestCubeWriter:
         cube = self.cube if cube is None else cube
         return HyperCube(data=cube.data[r0:r1], wavelengths=cube.wavelengths)
 
+    def writer(self, f=None, wavelengths=None):
+        wavelengths = self.cube.wavelengths if wavelengths is None else wavelengths
+        return CubeWriter(io.BytesIO() if f is None else f,
+                          self.cube.height, self.cube.width, wavelengths)
+
+    def test_the_header_is_written_when_the_writer_is_made(self):
+        f = io.BytesIO()
+        dst = self.writer(f, np.array(self.cube.wavelengths))  # kept as Python floats
+        assert f.getvalue() == write_cube(self.cube)[: -self.cube.data.nbytes]
+        assert dst.wavelengths == self.cube.wavelengths
+        assert all(type(w) is float for w in dst.wavelengths)
+
     def test_strips_make_the_whole_cube_stream(self):
         f = io.BytesIO()
-        dst = CubeWriter(f, self.cube.height)
+        dst = self.writer(f)
         for r0 in range(0, self.cube.height, 3):  # rows 3, 3 and 1
             dst.write(self.strip(r0, r0 + 3))
         digest = dst.hexdigest()
@@ -363,14 +375,19 @@ class TestCubeWriter:
         HyperCube(data=cube.data, wavelengths=tuple(w + 1.0 for w in cube.wavelengths)),
     ])
     def test_a_later_strip_must_match_the_first(self, other):
-        dst = CubeWriter(io.BytesIO(), self.cube.height)
+        """Every strip is checked against the header, the first as well."""
+        f = io.BytesIO()
+        dst = self.writer(f)
+        with pytest.raises(ValidationError, match="strip does not match the cube header"):
+            dst.write(self.strip(0, 3, other))
         dst.write(self.strip(0, 3))
         with pytest.raises(ValidationError, match="strip does not match the cube header"):
             dst.write(self.strip(3, 7, other))
+        assert f.getvalue() == write_cube(self.cube)[: -self.cube.data[3:].nbytes]
 
     @pytest.mark.parametrize("rows, message", [(6, "wrote 6 rows"), (8, "wrote 8 rows")])
     def test_the_digest_needs_every_row_and_no_more(self, rows, message):
-        dst = CubeWriter(io.BytesIO(), self.cube.height)
+        dst = self.writer()
         dst.write(self.strip(0, 4))
         dst.write(self.strip(4, rows, random_cube(np.random.default_rng(6), 8, 3, 5)))
         with pytest.raises(ValidationError, match=f"{message}, header declares 7"):
@@ -385,13 +402,13 @@ class TestCubeWriter:
 ], ids=["no-rows", "no-columns", "no-bands", "decreasing"])
 def test_the_cube_encoders_refuse_what_the_decoder_refuses(shape, wavelengths, match):
     """write_cube and CubeWriter check the header they would write by the
-    decoder's rules, and CubeWriter writes nothing of a refused cube."""
+    decoder's rules, and CubeWriter refuses it when made, writing nothing."""
     cube = HyperCube(data=np.zeros(shape, dtype=np.float32), wavelengths=wavelengths)
     with pytest.raises(FormatError, match=match):
         write_cube(cube)
     f = io.BytesIO()
     with pytest.raises(FormatError, match=match):
-        CubeWriter(f, shape[0]).write(cube)
+        CubeWriter(f, shape[0], shape[1], wavelengths)
     assert f.getvalue() == b""
 
 

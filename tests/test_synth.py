@@ -104,6 +104,17 @@ class TestGenerators:
         want = [gaussian_line(l, 0.8, 900.0, 0.3, 40.0) for l in grid.values]
         assert np.max(np.abs(cube.data[0, 0] - np.asarray(want, dtype=np.float32))) < 1e-7
 
+    @pytest.mark.parametrize("fwhm", [1e-300, 5e-324])
+    def test_a_line_narrower_than_float_range_is_zero_off_center(self, fwhm):
+        """((λ − center)/fwhm)² overflows to infinity, and exp(−inf) = 0 is
+        the narrow line's exact value, so the cube is made without a warning."""
+        grid = WavelengthGrid(tuple(400.0 + 5.0 * i for i in range(50)))
+        feature = AbsorptionFeatureSpec(continuum=0.7, center=500.0, depth=0.2, fwhm=fwhm)
+        spectrum = gen_absorption_cube(1, 1, grid, feature).data[0, 0]
+        j = grid.values.index(500.0)
+        assert spectrum[j] == np.float32(0.5)
+        assert np.all(np.delete(spectrum, j) == np.float32(0.7))
+
     def test_absorption_center_outside_span_rejected(self):
         feature = AbsorptionFeatureSpec(continuum=0.7, center=3000.0, depth=0.2, fwhm=50.0)
         with pytest.raises(ValidationError, match="outside"):
