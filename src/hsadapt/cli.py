@@ -367,15 +367,15 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             report = _cube_report(f)
         elif magic == MASK_MAGIC:
             mask = read_mask(f)
-            ignored = int(np.count_nonzero(mask.labels == mask.ignore_value))
             values, counts = np.unique(mask.labels, return_counts=True)
+            label_counts = {int(v): int(c) for v, c in zip(values, counts)}
             report = {
                 "kind": "mask",
                 "h": int(mask.labels.shape[0]),
                 "w": int(mask.labels.shape[1]),
                 "ignore_value": mask.ignore_value,
-                "ignored_fraction": ignored / mask.labels.size,
-                "label_counts": {int(v): int(c) for v, c in zip(values, counts)},
+                "ignored_fraction": label_counts.get(mask.ignore_value, 0) / mask.labels.size,
+                "label_counts": label_counts,
             }
         else:
             raise FormatError(f"{path}: not an HSC-v1 cube or HSM-v1 mask")

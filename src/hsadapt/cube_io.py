@@ -8,6 +8,8 @@ Cubes are decoded and encoded in row strips (`CubeReader`, `CubeWriter`), so
 `hsadapt adapt` never holds a whole scene; `read_cube` is the one-strip case.
 Both handle the header when they are made: a reader checks it, a writer
 checks and writes it, so a bad header fails before a payload byte moves.
+Writers check a header by its reader's rule and length limit, in that order,
+and one loop (`_read_payload`) reads every payload, a cube strip's or a mask's.
 A reader given a hasher hands it each strip whole on one worker thread, so a
 strip is hashed while it is adapted and written.
 """
@@ -19,12 +21,11 @@ import errno
 import functools
 import io
 import json
-import math
 import os
 import struct
 import threading
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -97,6 +98,9 @@ class LabelMask:
     ignore_value: int = -1
 
     def __post_init__(self):
+        if not (_is_int(self.ignore_value) or isinstance(self.ignore_value, np.integer)):
+            raise ValidationError("ignore_value must be an integer")
+        object.__setattr__(self, "ignore_value", int(self.ignore_value))
         if self.labels.ndim != 2:
             raise ValidationError("mask labels must be H×W")
         if self.labels.dtype != np.int16:
@@ -127,14 +131,12 @@ FINITE_CHECK_PIXELS = 512
 
 
 def _all_finite(x: np.ndarray) -> bool:
-    """np.all(np.isfinite(x)) for pixel data (band axis last), taken over
-    slices of the leading axis of at most FINITE_CHECK_PIXELS pixels each.
-    A slice has x's shape, so a small strip is checked in one call."""
-    pixels = math.prod(x.shape[1:-1])  # per item of the leading axis
-    if pixels > FINITE_CHECK_PIXELS:
-        return all(_all_finite(item) for item in x)
-    step = FINITE_CHECK_PIXELS // pixels
-    return all(np.isfinite(x[i : i + step]).all() for i in range(0, len(x), step))
+    """np.all(np.isfinite(x)) for pixel data (band axis last), taken over runs
+    of at most FINITE_CHECK_PIXELS pixels of its flat pixel view. Strips and
+    kernel runs are C-contiguous, so that reshape is a view, not a copy."""
+    pixels = x.reshape(-1, x.shape[-1])
+    step = FINITE_CHECK_PIXELS
+    return all(np.isfinite(pixels[i : i + step]).all() for i in range(0, len(pixels), step))
 
 
 def require_finite(x: np.ndarray, flag: str) -> None:
@@ -146,6 +148,13 @@ def require_finite(x: np.ndarray, flag: str) -> None:
 
 def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_header_length(hlen: int) -> None:
+    if hlen > MAX_HEADER_BYTES:
+        raise FormatError(
+            f"declared header length {hlen} exceeds the limit of {MAX_HEADER_BYTES} bytes"
+        )
 
 
 def _read_header(f: BinaryIO, magic: bytes) -> tuple[bytes, int]:
@@ -169,10 +178,7 @@ def _read_header(f: BinaryIO, magic: bytes) -> tuple[bytes, int]:
             raise FormatError(f"unsupported version {got.decode('ascii', 'replace')!r}")
         raise FormatError(f"bad magic {got!r}, expected {magic!r}")
     (hlen,) = struct.unpack("<Q", prefix[4:12])
-    if hlen > MAX_HEADER_BYTES:
-        raise FormatError(
-            f"declared header length {hlen} exceeds the limit of {MAX_HEADER_BYTES} bytes"
-        )
+    _check_header_length(hlen)
     if 12 + hlen > size:
         raise FormatError(f"declared header length {hlen} exceeds stream size")
     return prefix + f.read(hlen), size - 12 - hlen
@@ -194,9 +200,27 @@ def _check_payload(got: int, expected: int) -> None:
         raise FormatError(f"payload length mismatch: expected {expected} bytes, got {got}")
 
 
-def _container_prefix(magic: bytes, header: dict) -> bytes:
+def _container_prefix(magic: bytes, header: dict, check: Callable[[dict], object]) -> bytes:
+    """A container's prefix, refused as its reader would refuse it: by `check`,
+    the reader's rule for a decoded header, before json.dumps can fail on a
+    value that no header holds, then by the length limit."""
+    check(header)
     hdr = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    _check_header_length(len(hdr))
     return magic + struct.pack("<Q", len(hdr)) + hdr
+
+
+def _read_payload(f: BinaryIO, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+    """The next bytes of f, read straight into a new array. A stream that ends
+    first (a file that shrank after its size was checked) is a FormatError."""
+    data = np.empty(shape, dtype=dtype)
+    buf, got = _bytes_of(data), 0
+    while got < len(buf):
+        n = f.readinto(buf[got:])
+        if not n:
+            raise FormatError(f"payload ended early: expected {len(buf)} bytes, got {got}")
+        got += n
+    return data
 
 
 def _check_cube_header(header: dict) -> tuple[int, int, int, tuple[float, ...]]:
@@ -227,8 +251,7 @@ def _cube_prefix(h: int, w: int, wavelengths: tuple[float, ...]) -> bytes:
         "dtype": "f32le",
         "layout": "bip",
     }
-    _check_cube_header(header)  # so no cube is written that a reader refuses
-    return _container_prefix(CUBE_MAGIC, header)
+    return _container_prefix(CUBE_MAGIC, header, _check_cube_header)
 
 
 def _bytes_of(a: np.ndarray) -> memoryview:
@@ -332,16 +355,9 @@ class CubeReader:
                 digest.stop()
 
     def _read_strip(self, rows: int, digest: _DigestWorker | None) -> HyperCube:
-        data = np.empty((rows, self.width, self.bands), dtype="<f4")
-        buf = _bytes_of(data)
-        got = 0
-        while got < len(buf):
-            n = self._f.readinto(buf[got:])
-            if not n:
-                raise FormatError(f"payload ended early: expected {len(buf)} bytes, got {got}")
-            got += n
+        data = _read_payload(self._f, (rows, self.width, self.bands), "<f4")
         if digest is not None:
-            digest.feed(buf)
+            digest.feed(_bytes_of(data))
         return HyperCube(data=data, wavelengths=self.wavelengths)
 
 
@@ -440,7 +456,11 @@ def _mask_header(head: bytes) -> tuple[int, int, int]:
     """A mask header's height, width and ignore value, decoded and checked
     once per distinct header. A header that fails raises on every call, since
     lru_cache caches no exception."""
-    header = json_object(head[12:], "header")
+    return _check_mask_header(json_object(head[12:], "header"))
+
+
+def _check_mask_header(header: dict) -> tuple[int, int, int]:
+    """A mask header's dimensions and ignore value, checked as for _check_cube_header."""
     h, w = _header_dims(header, ("h", "w"), "i16le")
     ignore = header.get("ignore_value", -1)
     if not _is_int(ignore):
@@ -456,9 +476,7 @@ def read_mask(stream: bytes | BinaryIO) -> LabelMask:
     head, payload_len = _read_header(f, MASK_MAGIC)
     h, w, ignore = _mask_header(head)
     _check_payload(payload_len, h * w * 2)
-    labels = np.empty((h, w), dtype="<i2")
-    _check_payload(f.readinto(_bytes_of(labels)), payload_len)  # a file that shrank since
-    return LabelMask(labels=labels, ignore_value=ignore)
+    return LabelMask(labels=_read_payload(f, (h, w), "<i2"), ignore_value=ignore)
 
 
 def write_mask(mask: LabelMask) -> bytes:
@@ -468,8 +486,7 @@ def write_mask(mask: LabelMask) -> bytes:
         "dtype": "i16le",
         "ignore_value": mask.ignore_value,
     }
-    prefix = _container_prefix(MASK_MAGIC, header)
-    _mask_header(prefix)  # so no mask is written that read_mask refuses
+    prefix = _container_prefix(MASK_MAGIC, header, _check_mask_header)
     return prefix + np.ascontiguousarray(mask.labels, dtype="<i2").tobytes()
 
 

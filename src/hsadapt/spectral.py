@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +86,7 @@ class SensorSpec:
     def __post_init__(self):
         if len(self.bands) < 1:
             raise ValidationError("sensor spec must define at least one band")
-        names = [b.name for b in self.bands]
-        dupes = {n for n in names if names.count(n) > 1}
+        dupes = {n for n, k in Counter(b.name for b in self.bands).items() if k > 1}
         if dupes:
             raise ValidationError(f"duplicate band name(s): {sorted(dupes)}")
 
@@ -299,10 +299,10 @@ def parse_sensor_spec(text: str) -> SensorSpec:
 def parse_srf_table(text: str, spec: SensorSpec) -> SrfTable:
     """Parse the SRF CSV and align its columns to the spec's band order."""
     columns, _, data = read_numeric_csv(text, "SRF table", "wavelength_nm")
-    missing = [n for n in spec.band_names if n not in columns]
+    col_index = {name: i + 1 for i, name in enumerate(columns)}
+    missing = [n for n in spec.band_names if n not in col_index]
     if missing:
         raise ValidationError(f"SRF table missing column(s) for band(s): {missing}")
-    col_index = {name: i + 1 for i, name in enumerate(columns)}
     # Column views, not a copy: SrfTable makes the one copy it keeps.
     sens = [data[:, col_index[name]] for name in spec.band_names]
     return SrfTable(

@@ -523,6 +523,19 @@ class TestSynthInspect:
         assert capsys.readouterr().err == f"hsadapt: error: {option} must be finite as float32\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_header_over_the_limit_is_a_data_error(self, tmp_path, capsys):
+        """A grid whose header inspect would refuse is refused before a
+        payload byte is written: one error line, and no output, manifest or
+        temporary file."""
+        out = tmp_path / "wide.hsc"
+        assert main(["synth", "flat", "--height", "1", "--width", "1", "--bands", "120000",
+                     "--grid-start", "400", "--grid-step", "0.0123456789",
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hsadapt: error: declared header length ") and err.count("\n") == 1
+        assert "exceeds the limit of 1048576 bytes" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_random_deterministic_across_runs(self, tmp_path):
         a, b = tmp_path / "a.hsc", tmp_path / "b.hsc"
         args = ["synth", "random", "--height", "4", "--width", "4", "--bands", "5", "--seed", "3"]

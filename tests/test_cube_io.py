@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsadapt import cube_io
 from hsadapt.cli import main
 from hsadapt.cube_io import (
     MAX_HEADER_BYTES,
@@ -412,6 +413,40 @@ def test_the_cube_encoders_refuse_what_the_decoder_refuses(shape, wavelengths, m
     assert f.getvalue() == b""
 
 
+def test_the_cube_encoders_apply_the_decoders_header_limit(monkeypatch):
+    """A header exactly at MAX_HEADER_BYTES is written by both encoders and
+    read back; one byte more is the reader's FormatError, and CubeWriter
+    writes nothing."""
+    cube = random_cube(np.random.default_rng(7), 2, 3, 4)
+    stream = write_cube(cube)
+    (hlen,) = struct.unpack("<Q", stream[4:12])
+    monkeypatch.setattr(cube_io, "MAX_HEADER_BYTES", hlen)
+    f = io.BytesIO()
+    CubeWriter(f, cube.height, cube.width, cube.wavelengths).write(cube)
+    assert f.getvalue() == write_cube(cube) == stream
+    assert read_cube(stream).data.tobytes() == cube.data.tobytes()
+    monkeypatch.setattr(cube_io, "MAX_HEADER_BYTES", hlen - 1)
+    message = f"declared header length {hlen} exceeds the limit of {hlen - 1} bytes"
+    with pytest.raises(FormatError, match=message):
+        read_cube(stream)
+    with pytest.raises(FormatError, match=message):
+        write_cube(cube)
+    f = io.BytesIO()
+    with pytest.raises(FormatError, match=message):
+        CubeWriter(f, cube.height, cube.width, cube.wavelengths)
+    assert f.getvalue() == b""
+
+
+@pytest.mark.parametrize("dims, key", [((np.int64(2), 2), "h"), ((2, np.int64(2)), "w")])
+def test_numpy_int_cube_dimensions_are_the_decoders_error(dims, key):
+    """The header rule runs before the header is serialised, so a dimension
+    that no JSON header holds is a FormatError, not json.dumps' TypeError."""
+    f = io.BytesIO()
+    with pytest.raises(FormatError, match=f"header field '{key}' must be a positive integer"):
+        CubeWriter(f, *dims, (500.0,))
+    assert f.getvalue() == b""
+
+
 class TestMaskFormat:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -437,6 +472,40 @@ class TestMaskFormat:
     def test_bad_magic(self):
         with pytest.raises(FormatError):
             read_mask(b"XXXX" + b"\x00" * 20)
+
+    @pytest.mark.parametrize("ignore", [np.int16(-1), np.int64(7)])
+    def test_a_numpy_int_ignore_value_round_trips_as_a_python_int(self, ignore):
+        mask = LabelMask(labels=np.asarray([[0, int(ignore)]], dtype=np.int16), ignore_value=ignore)
+        assert type(mask.ignore_value) is int and mask.ignore_value == ignore
+        again = read_mask(write_mask(mask))
+        assert type(again.ignore_value) is int and again.ignore_value == ignore
+        assert np.array_equal(again.labels, mask.labels)
+
+    @pytest.mark.parametrize("ignore", [2.5, True])
+    def test_a_non_integer_ignore_value_is_refused(self, ignore):
+        with pytest.raises(ValidationError, match="ignore_value must be an integer"):
+            LabelMask(labels=np.zeros((2, 2), dtype=np.int16), ignore_value=ignore)
+
+    def test_a_payload_that_ends_early_after_the_size_check(self):
+        """A stream that stops short after its size was checked (a file that
+        shrank) fails as a cube's strip does."""
+        class Short(io.BytesIO):
+            def readinto(self, buf):
+                return super().readinto(buf[:3])
+
+        mask = LabelMask(labels=np.arange(6, dtype=np.int16).reshape(2, 3))
+        stream = write_mask(mask)
+        assert np.array_equal(read_mask(Short(stream)).labels, mask.labels)  # read in pieces
+
+        class Shrunk(io.BytesIO):
+            reads = 0
+
+            def readinto(self, buf):
+                self.reads += 1
+                return super().readinto(buf[:5]) if self.reads == 1 else 0
+
+        with pytest.raises(FormatError, match="payload ended early: expected 12 bytes, got 5"):
+            read_mask(Shrunk(stream))
 
     @pytest.mark.parametrize("shape, key", [((0, 3), "h"), ((3, 0), "w")],
                              ids=["no-rows", "no-columns"])

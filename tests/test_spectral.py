@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -78,6 +79,32 @@ class TestParseSensorSpec:
     def test_malformed_syntax(self):
         with pytest.raises(FormatError):
             parse_sensor_spec("{not json")
+
+
+# Band count whose spec and SRF table each took seconds while their checks
+# were quadratic in it, and far under a second since.
+MANY_BANDS = 20_000
+
+
+def many_band_spec() -> str:
+    bands = ",".join(f'{{"name": "B{i}", "center_nm": {500 + i * 0.01}}}' for i in range(MANY_BANDS))
+    return f'{{"sensor": "s", "bands": [{bands}]}}'
+
+
+def test_a_spec_and_srf_table_of_many_bands_parse_in_linear_time():
+    """Duplicate names and missing columns are found in one pass each."""
+    text = many_band_spec()
+    t0 = time.perf_counter()
+    spec = parse_sensor_spec(text)
+    spec_s = time.perf_counter() - t0
+    names = ",".join(spec.band_names)
+    ones = ",".join(["1"] * MANY_BANDS)
+    csv = f"wavelength_nm,{names}\n400,{ones}\n700,{ones}\n"
+    t0 = time.perf_counter()
+    table = parse_srf_table(csv, spec)
+    srf_s = time.perf_counter() - t0
+    assert table.n_bands == MANY_BANDS
+    assert spec_s < 1.0 and srf_s < 1.0, (spec_s, srf_s)
 
 
 def make_table(grid, cols):
