@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube_io import HyperCube
+from .cube_io import HyperCube, _is_int
 from .errors import GridMismatchError, ValidationError
 from .spectral import SensorSpec, WavelengthGrid
 
@@ -17,8 +17,8 @@ from .spectral import SensorSpec, WavelengthGrid
 class SelectionPlan:
     """Per target band: the chosen input band index and its center distance in nm.
 
-    Indices may repeat when a coarse input grid sends two targets to the same
-    band; repeats are kept and surfaced in the summary.
+    Indices, at least one and one per distance, are integers into `source_wavelengths`;
+    they may repeat when a coarse grid sends two targets to one band; the summary lists them.
     """
 
     indices: tuple[int, ...]
@@ -27,6 +27,12 @@ class SelectionPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "source_wavelengths", tuple(map(float, self.source_wavelengths)))
+        n = len(self.source_wavelengths)
+        if not self.indices or len(self.distances) != len(self.indices):
+            raise ValidationError("a plan needs at least one index, and one distance per index")
+        for j in self.indices:
+            if not (_is_int(j) or isinstance(j, np.integer)) or not 0 <= j < n:
+                raise ValidationError(f"plan index {j!r} is not an integer in [0, {n})")
 
     @functools.cached_property
     def wavelengths(self) -> tuple[float, ...]:
@@ -66,12 +72,9 @@ def nearest_band_indices(grid: WavelengthGrid, spec: SensorSpec) -> SelectionPla
 
 def apply_selection(cube: HyperCube, plan: SelectionPlan) -> HyperCube:
     """Gather the planned channels into a K-band cube with the plan's
-    `wavelengths`. Pure gather, no arithmetic."""
+    `wavelengths`. Pure gather, no arithmetic, and no check but the grid's."""
     if plan.source_wavelengths != cube.wavelengths:
         raise GridMismatchError("selection plan was built for a different wavelength grid")
-    for j in plan.indices:
-        if not 0 <= j < cube.bands:
-            raise ValidationError(f"plan index {j} out of range for {cube.bands}-band cube")
     idx = np.asarray(plan.indices, dtype=np.intp)
     out = np.ascontiguousarray(cube.data[:, :, idx])
     return HyperCube(data=out, wavelengths=plan.wavelengths)

@@ -361,8 +361,7 @@ def _cube_report(f: BinaryIO) -> dict:
 def cmd_inspect(args: argparse.Namespace) -> int:
     path = Path(args.path)
     with path.open("rb") as f:
-        magic = f.read(4)
-        f.seek(0)
+        magic = f.peek(4)[:4]  # not read, so a pipe reaches the readers' refusal
         if magic == CUBE_MAGIC:
             report = _cube_report(f)
         elif magic == MASK_MAGIC:

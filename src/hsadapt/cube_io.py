@@ -203,9 +203,12 @@ def _check_payload(got: int, expected: int) -> None:
 def _container_prefix(magic: bytes, header: dict, check: Callable[[dict], object]) -> bytes:
     """A container's prefix, refused as its reader would refuse it: by `check`,
     the reader's rule for a decoded header, before json.dumps can fail on a
-    value that no header holds, then by the length limit."""
+    value that no header holds, then as JSON, then by the length limit."""
     check(header)
-    hdr = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    try:
+        hdr = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    except ValueError as e:  # an int too long for str(), which json.loads refuses too
+        raise FormatError(f"header is not valid JSON: {e}") from None
     _check_header_length(len(hdr))
     return magic + struct.pack("<Q", len(hdr)) + hdr
 

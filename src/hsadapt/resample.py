@@ -17,11 +17,11 @@ DEFAULT_TILE = 64
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """C_in×K nonnegative matrix whose columns sum to one.
+    """C_in×K nonnegative matrix, K >= 1, whose columns sum to one; checked when made.
 
-    Column k holds the normalized response of target band k sampled at the
-    input band centers; support_counts[k] is the number of nonzero entries.
-    Matrices compare equal by value; they are not hashable.
+    Row j is source_wavelengths[j]; column k is band_names[k] at band_centers[k], its
+    normalized response sampled at the input band centers, with support_counts[k]
+    nonzero entries. Matrices compare equal by value; they are not hashable.
     """
 
     weights: np.ndarray  # (C_in, K) float64
@@ -32,15 +32,17 @@ class WeightMatrix:
     def __post_init__(self):
         object.__setattr__(self, "source_wavelengths", tuple(map(float, self.source_wavelengths)))
         w = self.weights
-        if w.ndim != 2 or w.dtype != np.float64:
-            raise ValidationError("weights must be a 2-D float64 matrix")
+        if w.ndim != 2 or w.dtype != np.float64 or not w.size:
+            raise ValidationError("weights must be a nonempty 2-D float64 matrix")
+        rows, cols = len(self.source_wavelengths), len(self.band_centers)
+        if w.shape != (rows, cols) or len(self.band_names) != cols:
+            raise ValidationError(f"weights are {w.shape} with {len(self.band_names)} band names; "
+                                  f"{rows} wavelengths and {cols} centers need ({rows}, {cols})")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValidationError("weights must be finite and nonnegative")
         sums = w.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise ValidationError("every weight column must sum to 1 within 1e-9")
-        if any(c < 1 for c in self.support_counts):
-            raise ValidationError("every target band needs at least one supported input band")
         w.setflags(write=False)
 
     def __eq__(self, other):
@@ -98,18 +100,16 @@ def resample_cube(
     threads: int = 1,
     allow_nan: bool = False,
 ) -> HyperCube:
-    """Project every pixel's spectrum onto the target bands.
+    """Project every pixel's spectrum onto the target bands of `w`. Its shape
+    was checked when it was made, so only its grid is checked against `cube`.
 
-    Accumulation runs in double precision regardless of storage precision;
-    results are bit-identical for any tile size because each pixel's dot
-    product is computed independently. Every run of tile² pixels is summed
-    on the calling thread, so `threads` (still checked to be >= 1) changes
-    neither speed nor output.
+    Sums run in double precision whatever the storage precision, and each
+    pixel's dot product is computed on its own, so output bytes are the same
+    for any tile size. Runs of tile² pixels are summed on the calling thread,
+    so `threads` (still checked to be >= 1) changes neither speed nor output.
     """
     if w.source_wavelengths != cube.wavelengths:
         raise GridMismatchError("weight matrix was built for a different wavelength grid")
-    if cube.bands != w.n_inputs:
-        raise ValidationError(f"cube has {cube.bands} bands, weight matrix expects {w.n_inputs}")
     if tile < 1:
         raise ValidationError("tile size must be >= 1")
     if threads < 1:
@@ -126,6 +126,8 @@ def resample_cube(
             reads.append((j, []))
         reads[-1][1].append((k, wjk))
 
+    # A function, not an inlined loop body, so that each run's float64 sums and
+    # buffers are freed before the next run makes its own.
     def run_block(p0: int) -> None:
         x = pixels[p0 : p0 + tile * tile]  # a run may cross the end of a row
         if not allow_nan:  # checked just before the run is summed, in small pieces

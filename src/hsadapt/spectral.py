@@ -227,45 +227,38 @@ def read_numeric_csv(
     import csv  # only the commands that read a CSV load it
 
     reader = csv.reader(io.StringIO(text))
-
-    def read_rows():
-        try:
-            yield from (r for r in reader if r)
-        except csv.Error as e:
-            raise FormatError(f"unreadable {what}: {e}") from None
-
-    rows = read_rows()
-
-    def refuse(message: str):
-        for _ in rows:  # the rest is read: a later unreadable line is reported instead
-            pass
-        raise FormatError(message)
-
-    header = [h.strip() for h in next(rows, [])]
+    header, ragged, lines = [], None, []
+    keys, skip = ([] if text_key else None), int(text_key)
+    try:
+        for row in reader:
+            if not row or ragged:
+                continue
+            if not header:
+                header = [h.strip() for h in row]
+            elif len(row) != len(header):
+                ragged = f"line {reader.line_num}: ragged row, {len(row)} cells, expected {len(header)}"
+            else:
+                lines.append(",".join(row[skip:]))
+                if text_key:
+                    keys.append(row[0])
+    except csv.Error as e:
+        raise FormatError(f"unreadable {what}: {e}") from None
     if not header:
-        refuse(f"empty {what}")
+        raise FormatError(f"empty {what}")
     if len(header) < 2 or header[0] != key:
-        refuse(f'{what} header must be "{key},<column>,..."')
+        raise FormatError(f'{what} header must be "{key},<column>,..."')
     named = set()
     for name in header:
         if name in named:
-            refuse(f"{what} header repeats column {name!r}")
+            raise FormatError(f"{what} header repeats column {name!r}")
         named.add(name)
-    cells = len(header)
-    skip = int(text_key)
-    keys = [] if text_key else None
-    lines = []
-    for row in rows:
-        if len(row) != cells:
-            refuse(f"{what} line {reader.line_num}: ragged row, {len(row)} cells, expected {cells}")
-        lines.append(",".join(row[skip:]))
-        if text_key:
-            keys.append(row[0])
+    if ragged:
+        raise FormatError(f"{what} {ragged}")
     if not lines:
         raise FormatError(f"{what} has a header but no data rows")
-    values = _loadtxt(lines, cells - skip)
+    values = _loadtxt(lines, len(header) - skip)
     if values is None:  # the same conversion, row by row, finds the row to report
-        bad = next(i for i, line in enumerate(lines) if _loadtxt([line], cells - skip) is None)
+        bad = next(i for i, ln in enumerate(lines) if _loadtxt([ln], len(header) - skip) is None)
         again = csv.reader(io.StringIO(text))
         line_nums = [again.line_num for r in again if r]  # the header's, then each row's
         raise FormatError(f"{what} line {line_nums[bad + 1]}: non-numeric cell")

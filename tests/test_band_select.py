@@ -121,11 +121,26 @@ class TestApplySelection:
             apply_selection(cube_from(np.zeros((2, 2, 3)), fine), plan)
 
     def test_index_out_of_range_rejected(self):
+        """The plan refuses the index when it is made, before any cube is seen."""
         grid = (500.0, 600.0, 700.0)
-        cube = cube_from(np.zeros((2, 2, 3)), grid)
-        plan = SelectionPlan(indices=(3,), distances=(0.0,), source_wavelengths=grid)
-        with pytest.raises(ValidationError):
-            apply_selection(cube, plan)
+        with pytest.raises(ValidationError, match=r"plan index 3 is not an integer in \[0, 3\)"):
+            SelectionPlan(indices=(3,), distances=(0.0,), source_wavelengths=grid)
+
+    @pytest.mark.parametrize("indices, distances, match", [
+        ((5,), (0.0,), r"plan index 5 is not an integer in \[0, 2\)"),
+        ((-1,), (0.0,), r"plan index -1 is not"),
+        ((1.5,), (0.0,), r"plan index 1\.5 is not"),
+        ((True,), (0.0,), r"plan index True is not"),
+        ((), (), "at least one index, and one distance per index"),
+        ((0, 1), (0.0,), "at least one index, and one distance per index"),
+    ], ids=["past-the-end", "negative", "float", "bool", "no-index", "distance-count"])
+    def test_a_plan_that_does_not_fit_its_grid_is_not_made(self, indices, distances, match):
+        with pytest.raises(ValidationError, match=match):
+            SelectionPlan(indices=indices, distances=distances, source_wavelengths=(1.0, 2.0))
+
+    def test_a_numpy_integer_index_is_an_index(self):
+        plan = SelectionPlan(indices=(np.int64(1),), distances=(0.0,), source_wavelengths=(1.0, 2.0))
+        assert plan.wavelengths == (2.0,)
 
     def test_gather_purity(self):
         grid = (500.0, 600.0, 700.0, 800.0)

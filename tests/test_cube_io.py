@@ -514,6 +514,17 @@ class TestMaskFormat:
         with pytest.raises(FormatError, match=f"'{key}' must be a positive integer"):
             write_mask(LabelMask(labels=np.zeros(shape, dtype=np.int16)))
 
+    def test_an_ignore_value_too_long_for_json_is_refused_as_the_reader_refuses_it(self):
+        """json.dumps cannot write an int of more than 4,300 digits and
+        json.loads cannot read one, so both sides give the same FormatError."""
+        huge = 10**5000
+        with pytest.raises(FormatError, match="header is not valid JSON: Exceeds the limit"):
+            write_mask(LabelMask(labels=np.zeros((2, 2), dtype=np.int16), ignore_value=huge))
+        hdr = b'{"h":2,"w":2,"dtype":"i16le","ignore_value":1' + b"0" * 5000 + b"}"
+        stream = b"HSM1" + struct.pack("<Q", len(hdr)) + hdr + bytes(8)
+        with pytest.raises(FormatError, match="header is not valid JSON: Exceeds the limit"):
+            read_mask(stream)
+
 
 class TestTargetsCsv:
     def test_four_soil_parameters(self):

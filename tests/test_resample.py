@@ -85,6 +85,23 @@ class TestBuildWeightMatrix:
         with pytest.raises(TypeError, match="unhashable type: 'WeightMatrix'"):
             hash(w)
 
+    @pytest.mark.parametrize("weights, names, centers, source, match", [
+        (np.full((2, 1), 0.5), ("B1", "B2"), (500.0, 510.0), (490.0, 510.0),
+         r"weights are \(2, 1\) with 2 band names; 2 wavelengths and 2 centers need \(2, 2\)"),
+        (np.full((2, 1), 0.5), ("B1",), (500.0,), (490.0, 500.0, 510.0),
+         r"weights are \(2, 1\) with 1 band names; 3 wavelengths and 1 centers need \(3, 1\)"),
+        (np.full((2, 1), 0.5), ("B1", "B2"), (500.0,), (490.0, 510.0),
+         r"weights are \(2, 1\) with 2 band names; 2 wavelengths and 1 centers need \(2, 1\)"),
+        (np.zeros((2, 0)), (), (), (490.0, 510.0), "nonempty 2-D float64 matrix"),
+    ], ids=["columns-vs-bands", "rows-vs-wavelengths", "names-vs-columns", "no-target"])
+    def test_a_matrix_whose_fields_disagree_is_not_made(self, weights, names, centers, source,
+                                                         match):
+        """Every field is tied to the weights' shape, so weight_summary and
+        resample_cube never meet a matrix that disagrees with itself."""
+        with pytest.raises(ValidationError, match=match):
+            WeightMatrix(weights=weights, band_names=names, band_centers=centers,
+                         source_wavelengths=source)
+
 
 def flat_cube(h, w, grid, value):
     return HyperCube(

@@ -407,6 +407,32 @@ def test_pipe_input_is_data_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("kind", ["cube", "mask"])
+def test_inspect_refuses_a_named_pipe_as_the_readers_do(tmp_path, capsys, kind):
+    """inspect sniffs the magic without seeking, so a FIFO gets the readers'
+    own refusal, not a bare "not seekable" from the sniff."""
+    if kind == "cube":
+        raw = write_cube(gen_random_cube(2, 2, GRID, seed=5))
+    else:
+        raw = cube_io.write_mask(cube_io.LabelMask(labels=np.zeros((2, 2), dtype=np.int16)))
+    fifo = tmp_path / f"in.{kind}"
+    os.mkfifo(fifo)
+
+    def feed():  # opening a FIFO for writing waits for its reader
+        with open(fifo, "wb") as f:
+            f.write(raw)  # fits in the pipe buffer, so it ends before inspect closes
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        assert main(["inspect", str(fifo)]) == 1
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert "input must be a seekable file, not a pipe" in capsys.readouterr().err
+
+
 class RecordingHasher:
     """Keeps each update it gets with the thread that made it; `fail_at`
     makes that update (counted from 1) raise."""
